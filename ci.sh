@@ -3,7 +3,7 @@
 # cheapest to most expensive so failures surface fast.
 #
 #   ./ci.sh                # full gate: lint, fmt, clippy, build, tests, perf smoke
-#   ./ci.sh --quick        # skip the release build, perf smoke and colord smoke
+#   ./ci.sh --quick        # skip the release build, perf, repobench and colord smokes
 #   ./ci.sh --no-lint      # skip the radio-lint static-analysis gate
 #   ./ci.sh --no-dry-run   # skip the scenario-registry dry-run gate
 #   ./ci.sh --no-colord    # skip the colord TCP service smoke gate
@@ -161,8 +161,11 @@ if [[ $dry_run -eq 1 ]]; then
 fi
 
 if [[ $quick -eq 0 ]]; then
-    echo "==> cargo build --release"
-    cargo build --release
+    # --workspace: a bare build at the root builds only the root
+    # package, not the slot_throughput / colord / colord-load binaries
+    # the legs below run.
+    echo "==> cargo build --release --workspace"
+    cargo build --release --workspace
 
     # Perf trajectory: delivery-kernel slots/sec on dense UDG workloads.
     # Writes BENCH_sim.json and fails if the scatter kernel — bare or
@@ -175,6 +178,14 @@ if [[ $quick -eq 0 ]]; then
     # n=1024, Δ*=128.
     echo "==> slot_throughput microbench"
     ./target/release/slot_throughput BENCH_sim.json
+
+    # Repository benchmark smoke (repobench/, its own package outside
+    # the workspace): builds the benchmark against the current sources
+    # and runs every workload at tiny size, untraced and traced,
+    # checking metric names, units, correctness flags and the two
+    # designed failure modes. About 45 s on a 2-thread host.
+    echo "==> repobench smoke"
+    python3 repobench/smoke.py
 
     # colord end-to-end smoke: boot the real TCP coloring service on an
     # ephemeral loopback port, drive 64 client sessions (with churn)

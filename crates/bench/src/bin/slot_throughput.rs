@@ -151,7 +151,7 @@ fn time_kernel_channel(graph: &Graph, schedule: &[Vec<NodeId>], spec: ChannelSpe
             kernel.transmit(graph, t);
         }
         for &u in kernel.touched() {
-            let sender = match channel.decide(&kernel.contention(u, slot as Slot)) {
+            let sender = match channel.decide(&kernel.contention(u, u, slot as Slot)) {
                 Reception::Deliver(w) => Some(w),
                 Reception::Collide | Reception::Drop | Reception::Jam => None,
             };
@@ -189,7 +189,7 @@ fn time_kernel_monitored(graph: &Graph, schedule: &[Vec<NodeId>]) -> (f64, u64) 
             tx_slot[t as usize] = now;
         }
         for &u in kernel.touched() {
-            let sender = match channel.decide(&kernel.contention(u, now)) {
+            let sender = match channel.decide(&kernel.contention(u, u, now)) {
                 Reception::Deliver(w) => Some(w),
                 Reception::Collide | Reception::Drop | Reception::Jam => None,
             };

@@ -29,10 +29,10 @@
 //! [`ColoringNode`]: urn_coloring::ColoringNode
 
 use crate::router::Router;
-use crate::shard::{worker_loop, Frame, Shard, Shared, SpinBarrier, StepCtx};
+use crate::shard::{worker_loop, Frame, Shard, Shared, StepCtx};
 use radio_graph::NodeId;
 use radio_transport::rng::node_rng;
-use radio_transport::Slot;
+use radio_transport::{Slot, SpinBarrier};
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, RwLock};

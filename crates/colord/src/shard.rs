@@ -34,68 +34,13 @@ use crate::router::Router;
 use crate::service::TdmaState;
 use radio_graph::NodeId;
 use radio_transport::rng::node_rng;
-use radio_transport::{Behavior, RadioProtocol, Slot};
+use radio_transport::{Behavior, RadioProtocol, Slot, SpinBarrier};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use urn_coloring::{AlgorithmParams, ColoringMsg, ColoringNode, ProtoId};
-
-/// A reusable spinning barrier with a leader closure.
-///
-/// Same construction as the sharded engine's: `std::sync::Barrier`
-/// parks threads through the OS on every wait, which at three waits per
-/// slot would dominate the loop. This barrier spins briefly (the phases
-/// it separates are microseconds long) and then yields, so it stays
-/// correct — if slow — when shards outnumber cores. The closure passed
-/// to [`wait`](SpinBarrier::wait) runs exactly once per generation, on
-/// the last-arriving thread, strictly before any thread is released.
-pub(crate) struct SpinBarrier {
-    /// Threads arrived in the current generation.
-    count: AtomicUsize,
-    /// Generation counter; incremented by the leader to release waiters.
-    gen: AtomicUsize,
-    /// Number of participating threads.
-    total: usize,
-}
-
-impl SpinBarrier {
-    pub(crate) fn new(total: usize) -> Self {
-        SpinBarrier {
-            count: AtomicUsize::new(0),
-            gen: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    /// Blocks until all `total` threads have arrived. The last arriver
-    /// runs `leader`, resets the barrier and releases everyone.
-    ///
-    /// Memory ordering: every arriver's prior writes are published by
-    /// the `AcqRel` increment of `count`; the leader's release-store of
-    /// `gen` (after running `leader`) is observed by the waiters'
-    /// acquire-loads, so all phase-N writes happen-before any phase-N+1
-    /// read.
-    pub(crate) fn wait(&self, leader: impl FnOnce()) {
-        let g = self.gen.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            leader();
-            self.count.store(0, Ordering::Relaxed);
-            self.gen.fetch_add(1, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.gen.load(Ordering::Acquire) == g {
-                spins += 1;
-                if spins < 128 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
 
 /// Cross-shard service state. Every field is an atomic and every
 /// access goes through an approved accessor — lint rule R7 pins that

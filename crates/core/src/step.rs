@@ -6,23 +6,14 @@
 //! channel outcomes from seeded RNG streams; exhaustive exploration
 //! instead needs those decisions as *explicit inputs* so every
 //! resolution of the nondeterminism can be enumerated. [`SlotStepper`]
-//! reproduces the lock-step engine's intra-slot hook order exactly —
-//!
-//! 1. wake-ups (ascending node id, matching the engine's stable
-//!    wake-order sort),
-//! 2. deadlines (`until == Some(slot)` fires `on_deadline`),
-//! 3. transmissions for the chosen transmitter set (`message` +
-//!    monitor `on_transmit`),
-//! 4. deliveries: an awake non-transmitter with *exactly one*
-//!    transmitting neighbor receives, unless the choice drops it
-//!    (collisions and drops both deliver nothing, exactly like the
-//!    engine's Collide/Drop outcomes),
-//!
-//! — with the decided flag noted (and `on_decided` fired once) right
-//! after the wake/deadline/receive hook that caused it, the same
-//! placement as `SimDriver::note_decided`. What the engines decide by
-//! coin flip, a [`SlotChoice`] decides by bitmask; everything else is
-//! the one shared transition semantics.
+//! is the simulator's own lock-step [`SlotKernel`] — the code
+//! `Lockstep` and every shard of the sharded driver run — with the two
+//! coin flips replaced by a [`SlotChoice`]: the transmit draw reads the
+//! `tx` bitmask, and the reception rule is the ideal channel except
+//! where the `drop` bitmask drops a singleton delivery (the engines'
+//! `Drop` outcome). Everything else — hook order, breach polling,
+//! behavior validation, monitor hooks, decision bookkeeping — is the
+//! one shared transition semantics.
 //!
 //! A recorded sequence of choices is a [`Witness`]: the model checker
 //! attaches one to each counterexample it converts into a
@@ -31,9 +22,10 @@
 
 use crate::invariants::ObservableColoring;
 use radio_graph::{Graph, NodeId};
-use radio_sim::{Behavior, InvariantMonitor, Slot};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use radio_sim::{
+    Behavior, ChannelModel, Contention, InvariantMonitor, ProtocolError, RadioProtocol, Reception,
+    Slot, SlotKernel,
+};
 
 /// One slot's resolution of the model's nondeterminism, as bitmasks
 /// over node ids (bit `v` = node `v`; exploration is bounded to 64
@@ -84,22 +76,31 @@ impl Witness {
     }
 }
 
-/// The deterministic single-slot transition function (see the module
-/// docs for the exact hook order it shares with the engines).
+/// The ideal reception rule with the choice's `drop` bits applied.
+struct DropMask(u64);
+
+impl ChannelModel for DropMask {
+    fn decide(&mut self, c: &Contention) -> Reception {
+        match c.winner {
+            Some(_) if self.0 >> c.listener & 1 == 1 => Reception::Drop,
+            Some(w) => Reception::Deliver(w),
+            None => Reception::Collide,
+        }
+    }
+}
+
+/// The deterministic single-slot transition function: a whole-graph
+/// [`SlotKernel`] stepped by [`SlotChoice`]s (see the module docs).
 ///
 /// A stepper is cheap to clone (per-node protocol state plus a few
-/// masks), which is what makes it the explorer's search-node
+/// small arrays), which is what makes it the explorer's search-node
 /// representation: branch by cloning, then [`step`](Self::step) each
 /// clone with a different [`SlotChoice`].
 #[derive(Clone)]
-pub struct SlotStepper<'a, P> {
+pub struct SlotStepper<'a, P: RadioProtocol> {
     graph: &'a Graph,
-    wake: &'a [Slot],
-    nodes: Vec<P>,
-    behaviors: Vec<Option<Behavior>>,
-    decided: Vec<bool>,
+    kernel: SlotKernel<P>,
     slot: Slot,
-    rng: SmallRng,
 }
 
 impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
@@ -109,23 +110,18 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
     ///
     /// If `wake.len()` or `nodes.len()` differ from `graph.len()`, or
     /// the graph has more than 64 nodes (the bitmask width).
-    pub fn new(graph: &'a Graph, wake: &'a [Slot], nodes: Vec<P>) -> Self {
+    pub fn new(graph: &'a Graph, wake: &[Slot], nodes: Vec<P>) -> Self {
         let n = graph.len();
         assert_eq!(wake.len(), n, "wake schedule length mismatch");
-        assert_eq!(nodes.len(), n, "protocol vector length mismatch");
         assert!(n <= 64, "choice bitmasks cover at most 64 nodes");
         SlotStepper {
             graph,
-            wake,
-            nodes,
-            behaviors: vec![None; n],
-            decided: vec![false; n],
-            slot: 0,
             // The coloring protocol draws no randomness (all its
             // Bernoulli behavior lives in the engine's transmission
             // draws, which the SlotChoice replaces), so any fixed seed
             // yields the same deterministic run.
-            rng: SmallRng::seed_from_u64(0),
+            kernel: SlotKernel::whole(nodes, wake, 0),
+            slot: 0,
         }
     }
 
@@ -136,25 +132,33 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
 
     /// The per-node protocol states.
     pub fn nodes(&self) -> &[P] {
-        &self.nodes
+        self.kernel.protocols()
     }
 
     /// `true` once node `v` has woken (has a behavior installed).
     pub fn awake(&self, v: NodeId) -> bool {
-        self.behaviors[v as usize].is_some()
+        self.kernel.behavior(v).is_some()
     }
 
     /// The per-node behavior segments (`None` before wake-up) — with
     /// [`nodes`](Self::nodes) and [`slot`](Self::slot), the full search
     /// state the explorer fingerprints for deduplication.
-    pub fn behaviors(&self) -> &[Option<Behavior>] {
-        &self.behaviors
+    pub fn behaviors(&self) -> Vec<Option<Behavior>> {
+        (0..self.graph.len() as NodeId)
+            .map(|v| self.kernel.behavior(v))
+            .collect()
+    }
+
+    /// The first protocol error (a contract breach or malformed
+    /// behavior), if one stopped the run.
+    pub fn error(&self) -> Option<&ProtocolError> {
+        self.kernel.error()
     }
 
     /// `true` when every node has woken and decided — the engines'
     /// termination condition.
     pub fn all_decided(&self) -> bool {
-        self.behaviors.iter().all(Option::is_some) && self.decided.iter().all(|&d| d)
+        self.kernel.undecided() == 0
     }
 
     /// Per-node `(state, slot)` observations for the awake nodes
@@ -164,24 +168,20 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
     /// every expansion.
     pub fn observations(&self) -> Vec<Option<(crate::node::ObservedState, Slot)>> {
         let at = self.slot;
-        self.nodes
-            .iter()
-            .zip(&self.behaviors)
-            .map(|(p, b)| b.map(|_| (p.observe(at), at)))
+        (0..self.graph.len() as NodeId)
+            .map(|v| {
+                self.awake(v)
+                    .then(|| (self.nodes()[v as usize].observe(at), at))
+            })
             .collect()
     }
 
     /// Per-node abstract machine labels (`"Wake"` for sleepers), the
     /// projection-monitor seed matching [`observations`](Self::observations).
     pub fn abstract_tags(&self) -> Vec<&'static str> {
-        let at = self.slot;
-        self.nodes
-            .iter()
-            .zip(&self.behaviors)
-            .map(|(p, b)| match b {
-                Some(_) => p.observe(at).abstract_tag(),
-                None => "Wake",
-            })
+        self.observations()
+            .into_iter()
+            .map(|o| o.map_or("Wake", |(obs, _)| obs.abstract_tag()))
             .collect()
     }
 
@@ -190,30 +190,11 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
     /// transmit this slot (awake, in a `Transmit` segment) — the
     /// domain the caller picks a [`SlotChoice::tx`] from.
     pub fn begin_slot<M: InvariantMonitor<P>>(&mut self, monitor: &mut M) -> u64 {
-        let slot = self.slot;
-        for v in 0..self.nodes.len() {
-            if self.wake[v] == slot && self.behaviors[v].is_none() {
-                let b = self.nodes[v].on_wake(slot, &mut self.rng);
-                self.behaviors[v] = Some(b);
-                monitor.after_wake(v as NodeId, slot, &self.nodes[v]);
-                self.note_decided(v, slot, monitor);
-            }
-        }
-        for v in 0..self.nodes.len() {
-            if self.behaviors[v].and_then(|b| b.until()) == Some(slot) {
-                let b = self.nodes[v].on_deadline(slot, &mut self.rng);
-                self.behaviors[v] = Some(b);
-                monitor.after_deadline(v as NodeId, slot, &self.nodes[v]);
-                self.note_decided(v, slot, monitor);
-            }
-        }
-        let mut capable = 0u64;
-        for (v, b) in self.behaviors.iter().enumerate() {
-            if matches!(b, Some(Behavior::Transmit { .. })) {
-                capable |= 1 << v;
-            }
-        }
-        capable
+        let _ = self.kernel.wake_phase(self.slot, monitor)
+            && self.kernel.deadline_phase(self.slot, monitor);
+        (0..self.graph.len() as NodeId)
+            .filter(|&v| self.kernel.tx_p(v).is_some())
+            .fold(0, |m, v| m | 1 << v)
     }
 
     /// The listeners that receive a singleton delivery under
@@ -224,13 +205,13 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
     /// a [`SlotChoice::drop`] from.
     pub fn singleton_receivers(&self, tx: u64) -> u64 {
         let mut out = 0u64;
-        for u in 0..self.nodes.len() {
-            if tx >> u & 1 == 1 || self.behaviors[u].is_none() {
+        for u in 0..self.graph.len() as NodeId {
+            if tx >> u & 1 == 1 || !self.awake(u) {
                 continue;
             }
             let hot = self
                 .graph
-                .neighbors(u as NodeId)
+                .neighbors(u)
                 .iter()
                 .filter(|&&w| tx >> w & 1 == 1)
                 .count();
@@ -250,43 +231,12 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
         choice: SlotChoice,
         monitor: &mut M,
     ) -> bool {
-        let slot = self.slot;
-        let n = self.nodes.len();
-        let mut air: Vec<Option<P::Message>> = (0..n).map(|_| None).collect();
-        let mut tx = 0u64;
-        for (v, slot_air) in air.iter_mut().enumerate() {
-            if choice.tx >> v & 1 == 1
-                && matches!(self.behaviors[v], Some(Behavior::Transmit { .. }))
-            {
-                let msg = self.nodes[v].message(slot, &mut self.rng);
-                monitor.on_transmit(v as NodeId, slot, &msg, &self.nodes[v]);
-                *slot_air = Some(msg);
-                tx |= 1 << v;
-            }
+        let k = &mut self.kernel;
+        if k.transmit_phase(self.slot, |v, _, _| choice.tx >> v & 1 == 1, monitor) {
+            k.scatter(self.graph, Some, |_, _, _| {});
+            k.deliver_phase(self.slot, &mut DropMask(choice.drop), Some, monitor);
         }
-        for u in 0..n {
-            if tx >> u & 1 == 1 || self.behaviors[u].is_none() {
-                continue;
-            }
-            let mut sender = None;
-            let mut hot = 0usize;
-            for &w in self.graph.neighbors(u as NodeId) {
-                if tx >> w & 1 == 1 {
-                    hot += 1;
-                    sender = Some(w);
-                }
-            }
-            if hot != 1 || choice.drop >> u & 1 == 1 {
-                continue;
-            }
-            let msg =
-                air[sender.expect("hot == 1") as usize].expect("transmitter parked a message");
-            if let Some(nb) = self.nodes[u].on_receive(slot, &msg, &mut self.rng) {
-                self.behaviors[u] = Some(nb);
-            }
-            monitor.after_receive(u as NodeId, slot, &msg, &self.nodes[u]);
-            self.note_decided(u, slot, monitor);
-        }
+        k.compact();
         self.slot += 1;
         self.all_decided()
     }
@@ -296,13 +246,6 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
     pub fn step<M: InvariantMonitor<P>>(&mut self, choice: SlotChoice, monitor: &mut M) -> bool {
         self.begin_slot(monitor);
         self.finish_slot(choice, monitor)
-    }
-
-    fn note_decided<M: InvariantMonitor<P>>(&mut self, v: usize, slot: Slot, monitor: &mut M) {
-        if !self.decided[v] && self.nodes[v].is_decided() {
-            self.decided[v] = true;
-            monitor.on_decided(v as NodeId, slot, &self.nodes[v]);
-        }
     }
 }
 

@@ -13,7 +13,7 @@
 //! | R5   | `transition-table` | `LEGAL_TRANSITIONS`, `node.rs` and `invariants.rs` agree on the Fig. 2 edge set |
 //! | R6   | `service-ambient-rng` | `crates/{transport,colord}` may read the wall clock (real servers pace in seconds) but still may not use ambient RNG |
 //! | R7   | `shard-phase`      | shard-parallel code (the sharded engine and colord's shard/router) touches cross-shard state only in `phase_*` functions, behind `Mutex`/atomics, with the 6/2 engine barrier schedule and colord's 3-wait worker loop |
-//! | R8   | `hook-order`       | the three slot loops (`lockstep::drive`, `SlotStepper::step`, `pump_node`) fire hooks in the same event-class order |
+//! | R8   | `hook-order`       | the two slot loops (the slot kernel, reached through `lockstep::drive`, and `pump_node`) fire hooks in the same event-class order |
 //! | R9   | `wire-exhaustive`  | wire enums are covered in `encode`, `decode` and the colord dispatch; `EventKind` variants each have a producer and consumer |
 //! | R10  | `interior-mutability` | no `Cell`/`RefCell`/`unsafe`/`static mut` in shard-parallel code (engine + colord shard/router) or in types reachable from its state |
 //!
@@ -269,8 +269,8 @@ pub fn run_lint_with(root: &Path, options: &LintOptions) -> io::Result<Report> {
 
 /// The R8 hook-class sequences of the slot loops present under
 /// `root`, extracted through the same scan + parse pipeline
-/// [`run_lint`] uses. The self-check test asserts all three are
-/// present and equal on the real workspace.
+/// [`run_lint`] uses. The self-check test asserts both are present
+/// and equal on the real workspace.
 pub fn hook_order_sequences(root: &Path) -> io::Result<Vec<HookSequence>> {
     let parsed = parse_workspace(root)?;
     let graph = CallGraph::build(&parsed);

@@ -156,7 +156,7 @@ RULES:
     R6  service-ambient-rng  transport/colord: wall clock ok, ambient RNG banned
     R7  shard-phase          sharded engine: cross-shard state only in phase_*
                              fns behind Mutex/atomics; 6/2 barrier schedule
-    R8  hook-order           the three slot loops fire hooks in one order
+    R8  hook-order           the two slot loops fire hooks in one order
     R9  wire-exhaustive      wire enums covered in encode/decode/dispatch
     R10 interior-mutability  no Cell/RefCell/unsafe in shard-shared types
 

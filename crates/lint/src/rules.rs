@@ -38,9 +38,9 @@ pub enum Rule {
     /// schedule keeps the documented 6-wait monitored / 2-wait
     /// unmonitored shape in both slot loops.
     ShardPhase,
-    /// R8: the three slot loops (`lockstep::drive`,
-    /// `SlotStepper::step`, `pump_node`) fire monitor/channel hooks in
-    /// the same event-class order.
+    /// R8: the two slot loops (the slot kernel, reached through
+    /// `lockstep::drive`, and `pump_node`) fire monitor/channel hooks
+    /// in the same event-class order.
     HookOrder,
     /// R9: every wire-enum variant is covered in `encode`, `decode`,
     /// and the colord server dispatch; `EventKind` variants each have

@@ -14,6 +14,10 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The sharded engine file R7 and R10's closure are anchored on.
 const SHARDED_FILE: &str = "crates/sim/src/engine/sharded.rs";
 
+/// The slot kernel every engine shard is built on — anchored with the
+/// sharded engine, since its per-node state is the shard state.
+const KERNEL_FILE: &str = "crates/sim/src/engine/kernel.rs";
+
 /// colord's shard worker module — anchored by R7 and R10 since the
 /// service grew strip-parallel stepping; it must honor the same
 /// phase/synchronization discipline as the engine.
@@ -24,7 +28,12 @@ const COLORD_ROUTER_FILE: &str = "crates/colord/src/router.rs";
 
 /// Every file R7's phase discipline is anchored on. Each file's own
 /// `Shared` struct (if any) defines the guarded field set.
-const SHARD_PHASE_FILES: &[&str] = &[SHARDED_FILE, COLORD_ROUTER_FILE, COLORD_SHARD_FILE];
+const SHARD_PHASE_FILES: &[&str] = &[
+    SHARDED_FILE,
+    KERNEL_FILE,
+    COLORD_ROUTER_FILE,
+    COLORD_SHARD_FILE,
+];
 
 /// Synchronized accessors through which shard-shared state may be
 /// touched: atomics, mutex locks, and the post-join drain.
@@ -388,13 +397,15 @@ fn count_waits(toks: &[crate::lexer::Tok], span: &[usize]) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// R8 — hook-order conformance across the three slot loops.
+// R8 — hook-order conformance across the slot loops.
 // ---------------------------------------------------------------------------
 
-/// The three slot loops whose monitor/channel hook order must agree.
+/// The slot loops whose monitor/channel hook order must agree: the
+/// slot kernel (which the sharded driver and the model checker's
+/// stepper also run), reached through the lock-step engine, and the
+/// transport pump.
 pub const HOOK_ROOTS: &[(&str, &str)] = &[
     ("crates/sim/src/engine/lockstep.rs", "drive"),
-    ("crates/core/src/step.rs", "step"),
     ("crates/transport/src/pump.rs", "pump_node"),
 ];
 
@@ -522,7 +533,7 @@ pub fn check_hook_order(graph: &CallGraph<'_>) -> Vec<Diagnostic> {
                     Rule::HookOrder,
                     format!(
                         "`{}` drives hooks as {:?}, but `{}::{}` drives them \
-                         as {:?} — the three slot loops must fire the same \
+                         as {:?} — the slot loops must fire the same \
                          event-class sequence",
                         s.fn_name, s.classes, reference.file, reference.fn_name, reference.classes
                     ),
@@ -742,7 +753,7 @@ pub fn check_interior_mutability(files: &[ParsedFile]) -> Vec<Diagnostic> {
     // crates/colord.
     closure_scan(
         files,
-        &[SHARDED_FILE],
+        &[SHARDED_FILE, KERNEL_FILE],
         "crates/sim",
         "the sharded engine",
         &mut out,

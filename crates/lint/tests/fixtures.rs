@@ -31,11 +31,11 @@ fn clean_corpus_is_green() {
     // back green: the R1/R6 scope split (not a waiver) is what lets
     // service code read the wall clock. The corpus also carries green
     // anchors for the semantic rules: a disciplined `engine/sharded.rs`
-    // (R7/R10), the three conforming slot loops (R8), and a fully
+    // (R7/R10), the two conforming slot loops (R8), and a fully
     // covered wire enum + dispatch + event kinds (R9), and a
     // disciplined colord shard worker + router (the R7/R10 anchors
     // added with the sharded service).
-    assert_eq!(report.files_scanned, 15, "full green corpus in scope");
+    assert_eq!(report.files_scanned, 14, "full green corpus in scope");
     // The one deliberate, justified waiver in `engine/good.rs` — it
     // both proves waiver application suppresses a real finding and
     // that waivers are counted.
@@ -74,8 +74,8 @@ fn violation_corpus_is_red_per_rule() {
     // write + raw read in `phase_commit`, and a 2-wait `worker_loop`
     // against the documented 3-wait schedule.
     assert_eq!(count(&report, Rule::ShardPhase), 11);
-    // R8: `transport/src/pump.rs` delivers before it transmits while
-    // the lockstep reference and the core stepper agree.
+    // R8: `transport/src/pump.rs` delivers before it transmits,
+    // against the lockstep reference.
     assert_eq!(count(&report, Rule::HookOrder), 1);
     // R9: `decode` hole in `colord/src/wire.rs`, a dropped variant in
     // the server dispatch, and a consumer-less `EventKind::Tx`.

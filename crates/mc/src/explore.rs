@@ -269,7 +269,16 @@ fn explore_root(
             child.begin_slot(&mut monitor);
             let done = child.finish_slot(choice, &mut monitor);
             report.covered.extend(monitor.1.covered().iter().copied());
-            let violations = InvariantMonitor::<MutatedNode>::take_violations(&mut monitor);
+            let mut violations = InvariantMonitor::<MutatedNode>::take_violations(&mut monitor);
+            // A protocol error (contract breach, malformed behavior)
+            // stops the kernel mid-slot: report it, never let the path
+            // stall silently to the horizon.
+            violations.extend(child.error().map(|e| Violation {
+                node: e.node,
+                slot: e.slot,
+                rule: "protocol-error",
+                detail: e.fault.to_string(),
+            }));
             if !violations.is_empty() {
                 report.paths += 1;
                 report.unique_states += visited.len() as u64;

@@ -121,3 +121,34 @@ fn copycat_leader_mutant_pipeline() {
         2,
     );
 }
+
+/// The exact search effort of the checked n ≤ 4, budget-1 catalog, as
+/// recorded in `MC.json`: expansions, unique states and paths per
+/// scenario. Any change to the stepper's transition function or to the
+/// explorer's branching shows up here as a count drift, so this is the
+/// check that a rewritten stepper still explores the same state space.
+#[test]
+fn n4_budget1_catalog_counts_are_pinned() {
+    const PINNED: [(&str, u64, u64, u64); 6] = [
+        ("lone", 84, 43, 2),
+        ("pair", 1274, 566, 15),
+        ("late-joiner", 705, 299, 11),
+        ("triangle", 2716, 1537, 26),
+        ("line", 1890, 993, 20),
+        ("two-clusters", 1915, 983, 16),
+    ];
+    let got: Vec<(String, u64, u64, u64)> = standard_scenarios(4, 1)
+        .iter()
+        .map(|sc| {
+            let r = explore(sc, 20_000_000);
+            assert!(r.counterexample.is_none(), "{} violated", sc.name);
+            assert!(!r.truncated, "{} truncated", sc.name);
+            (r.scenario, r.expansions, r.unique_states, r.paths)
+        })
+        .collect();
+    let want: Vec<(String, u64, u64, u64)> = PINNED
+        .iter()
+        .map(|&(name, e, s, p)| (name.to_string(), e, s, p))
+        .collect();
+    assert_eq!(got, want);
+}

@@ -39,154 +39,41 @@ use crate::channel::{ChannelModel, Contention, Reception};
 use crate::protocol::Slot;
 use radio_graph::{Graph, NodeId};
 
-/// Scatter-accumulate delivery for aligned-slot engines (lock-step and
-/// event-driven).
+/// Scatter-accumulate delivery: per-listener transmitter counts for one
+/// slot, over a member set indexed by *local* index.
+///
+/// Every aligned-slot path uses it: the lock-step kernel and the
+/// event-driven engine over the whole graph (local index = node id),
+/// and each shard of the sharded driver over its own members (dense
+/// local indices, so a shard touches only its own cache-resident
+/// arrays). Senders are always *global* ids — a shard's winner may
+/// live in another shard, reaching it through the boundary exchange.
 ///
 /// Per slot: call [`begin_slot`](Self::begin_slot) once, then
-/// [`transmit`](Self::transmit) for every node that puts a message on
-/// the air, then read the touched listeners back with
-/// [`touched`](Self::touched) / [`unique_sender`](Self::unique_sender).
+/// [`mark_transmitter`](Self::mark_transmitter) and [`add`](Self::add)
+/// (or [`transmit`](Self::transmit) for a whole-graph member set), then
+/// read the touched listeners back with [`touched`](Self::touched) /
+/// [`unique_sender`](Self::unique_sender).
 #[derive(Clone, Debug)]
 pub struct DeliveryKernel {
     /// Current slot epoch; 0 means "no slot started yet".
     epoch: u64,
-    /// Epoch at which each node last transmitted.
+    /// Epoch at which each member last transmitted.
     tx_epoch: Vec<u64>,
     /// Epoch at which each listener's accumulator was last reset.
     stamp: Vec<u64>,
     /// Number of transmitting neighbors this slot.
     count: Vec<u32>,
-    /// Most recent transmitting neighbor this slot.
-    sender: Vec<NodeId>,
-    /// Listeners with `count > 0` this slot, in first-touch order.
-    touched: Vec<NodeId>,
-}
-
-impl DeliveryKernel {
-    /// A kernel for an `n`-node graph.
-    pub fn new(n: usize) -> Self {
-        DeliveryKernel {
-            epoch: 0,
-            tx_epoch: vec![0; n],
-            stamp: vec![0; n],
-            count: vec![0; n],
-            sender: vec![0; n],
-            touched: Vec::new(),
-        }
-    }
-
-    /// Starts a new slot, invalidating all per-slot state in O(1).
-    #[inline]
-    pub fn begin_slot(&mut self) {
-        self.epoch += 1;
-        self.touched.clear();
-    }
-
-    /// Records that `t` transmits this slot and scatters the
-    /// transmission to its neighbors' accumulators.
-    #[inline]
-    pub fn transmit(&mut self, graph: &Graph, t: NodeId) {
-        self.tx_epoch[t as usize] = self.epoch;
-        for &u in graph.neighbors(t) {
-            let ui = u as usize;
-            if self.stamp[ui] != self.epoch {
-                self.stamp[ui] = self.epoch;
-                self.count[ui] = 0;
-                self.touched.push(u);
-            }
-            self.count[ui] += 1;
-            self.sender[ui] = t;
-        }
-    }
-
-    /// `true` if `v` transmitted this slot (a transmitter cannot
-    /// receive).
-    #[inline]
-    pub fn is_transmitter(&self, v: NodeId) -> bool {
-        self.tx_epoch[v as usize] == self.epoch
-    }
-
-    /// Nodes with at least one transmitting neighbor this slot, in
-    /// first-touch order (the order the pre-kernel nested loop first
-    /// reached them).
-    #[inline]
-    pub fn touched(&self) -> &[NodeId] {
-        &self.touched
-    }
-
-    /// For a listener in [`touched`](Self::touched): `Some(sender)` if
-    /// exactly one neighbor transmitted, `None` on a collision (two or
-    /// more).
-    #[inline]
-    pub fn unique_sender(&self, u: NodeId) -> Option<NodeId> {
-        debug_assert_eq!(
-            self.stamp[u as usize], self.epoch,
-            "query of an untouched listener"
-        );
-        if self.count[u as usize] == 1 {
-            Some(self.sender[u as usize])
-        } else {
-            None
-        }
-    }
-
-    /// For a listener in [`touched`](Self::touched): the exact number
-    /// of transmitting neighbors this slot (≥ 1).
-    #[inline]
-    pub fn tx_count(&self, u: NodeId) -> u32 {
-        debug_assert_eq!(
-            self.stamp[u as usize], self.epoch,
-            "query of an untouched listener"
-        );
-        self.count[u as usize]
-    }
-
-    /// The [`Contention`] a [`ChannelModel`] decides on for listener `u`
-    /// at `slot` — the bridge between the scatter-accumulate result and
-    /// the pluggable reception rule.
-    #[inline]
-    pub fn contention(&self, u: NodeId, slot: Slot) -> Contention {
-        Contention {
-            listener: u,
-            slot,
-            transmitters: self.tx_count(u),
-            winner: self.unique_sender(u),
-        }
-    }
-}
-
-/// Scatter-accumulate delivery for **one shard** of the sharded driver
-/// ([`crate::engine::sharded`]).
-///
-/// Listener accumulators are indexed by *shard-local* index (dense in
-/// the shard's member count, so a shard of an n-node graph touches only
-/// its own cache-resident arrays), while senders are identified by
-/// *global* node id — the winner of a contention may live in another
-/// shard, reaching this one through the boundary exchange. Local
-/// transmissions land via [`add`](Self::add) during the shard's own
-/// scatter phase; remote ones via the same `add` when the boundary
-/// queues are merged. As in [`DeliveryKernel`], per-slot state is
-/// invalidated in O(1) by an epoch bump.
-#[derive(Clone, Debug)]
-pub struct ShardKernel {
-    /// Current slot epoch; 0 means "no slot started yet".
-    epoch: u64,
-    /// Epoch at which each local node last transmitted.
-    tx_epoch: Vec<u64>,
-    /// Epoch at which each local listener's accumulator was last reset.
-    stamp: Vec<u64>,
-    /// Number of transmitting neighbors this slot (local + remote).
-    count: Vec<u32>,
     /// Most recent transmitting neighbor this slot (global id).
     sender: Vec<NodeId>,
-    /// Local listeners with `count > 0` this slot, in first-touch order.
+    /// Listeners with `count > 0` this slot, in first-touch order.
     touched: Vec<u32>,
 }
 
-impl ShardKernel {
-    /// A kernel for a shard owning `len` nodes.
+impl DeliveryKernel {
+    /// An accumulator for `len` members.
     pub fn new(len: usize) -> Self {
-        ShardKernel {
+        DeliveryKernel {
             epoch: 0,
             tx_epoch: vec![0; len],
             stamp: vec![0; len],
@@ -203,18 +90,17 @@ impl ShardKernel {
         self.touched.clear();
     }
 
-    /// Records that the local node `lt` transmits this slot (a
-    /// transmitter cannot receive). Scattering to its neighbors is the
-    /// caller's job — the caller knows which neighbors are local
-    /// ([`add`](Self::add)) and which must cross the boundary.
+    /// Records that member `lt` transmits this slot (a transmitter
+    /// cannot receive). Scattering to its neighbors is the caller's
+    /// job, through [`add`](Self::add).
     #[inline]
     pub fn mark_transmitter(&mut self, lt: u32) {
         self.tx_epoch[lt as usize] = self.epoch;
     }
 
-    /// Accumulates one transmission from `sender` (global id) at the
-    /// local listener `lu`. Returns `true` iff this was the slot's
-    /// *first* contribution at `lu` — the caller stores the boundary
+    /// Accumulates one transmission from `sender` (global id) at
+    /// listener `lu`. Returns `true` iff this was the slot's *first*
+    /// contribution at `lu` — the sharded driver stores a boundary
     /// message exactly then, so a remote unique winner's payload is at
     /// hand without buffering every colliding message.
     #[inline]
@@ -231,40 +117,49 @@ impl ShardKernel {
         first
     }
 
-    /// `true` if local node `lv` transmitted this slot.
+    /// Whole-graph shorthand (local index = node id): marks `t` as a
+    /// transmitter and scatters the transmission to its neighbors.
+    #[inline]
+    pub fn transmit(&mut self, graph: &Graph, t: NodeId) {
+        self.mark_transmitter(t);
+        for &u in graph.neighbors(t) {
+            self.add(u, t);
+        }
+    }
+
+    /// `true` if member `lv` transmitted this slot.
     #[inline]
     pub fn is_transmitter(&self, lv: u32) -> bool {
         self.tx_epoch[lv as usize] == self.epoch
     }
 
-    /// Local listeners with at least one transmitting neighbor this
-    /// slot, in first-touch order.
+    /// Listeners with at least one transmitting neighbor this slot, in
+    /// first-touch order (the order the pre-kernel nested loop first
+    /// reached them).
     #[inline]
     pub fn touched(&self) -> &[u32] {
         &self.touched
     }
 
-    /// For a touched local listener: `Some(global sender)` iff exactly
-    /// one neighbor transmitted.
+    /// For a touched listener: `Some(sender)` if exactly one neighbor
+    /// transmitted, `None` on a collision (two or more).
     #[inline]
     pub fn unique_sender(&self, lu: u32) -> Option<NodeId> {
         debug_assert_eq!(
             self.stamp[lu as usize], self.epoch,
             "query of an untouched listener"
         );
-        if self.count[lu as usize] == 1 {
-            Some(self.sender[lu as usize])
-        } else {
-            None
-        }
+        (self.count[lu as usize] == 1).then(|| self.sender[lu as usize])
     }
 
-    /// The [`Contention`] for touched local listener `lu`, whose global
-    /// id is `u`, at `slot`.
+    /// The [`Contention`] a [`ChannelModel`] decides on for touched
+    /// listener `lu`, whose global id is `listener`, at `slot` — the
+    /// bridge between the scatter-accumulate result and the pluggable
+    /// reception rule.
     #[inline]
-    pub fn contention(&self, u: NodeId, lu: u32, slot: Slot) -> Contention {
+    pub fn contention(&self, lu: u32, listener: NodeId, slot: Slot) -> Contention {
         Contention {
-            listener: u,
+            listener,
             slot,
             transmitters: self.count[lu as usize],
             winner: self.unique_sender(lu),
@@ -709,9 +604,9 @@ mod tests {
         );
     }
 
-    /// Differential: running one slot through per-shard [`ShardKernel`]s
+    /// Differential: running one slot through per-shard accumulators
     /// with a manual boundary exchange must reproduce the global
-    /// [`DeliveryKernel`]'s per-listener counts, unique senders and
+    /// whole-graph accumulator's per-listener counts, unique senders and
     /// transmitter flags exactly, for any shard assignment.
     #[test]
     fn shard_kernels_with_boundary_exchange_match_global_kernel() {
@@ -733,8 +628,10 @@ mod tests {
 
             let mut global = DeliveryKernel::new(n);
             global.begin_slot();
-            let mut shards: Vec<ShardKernel> =
-                members.iter().map(|m| ShardKernel::new(m.len())).collect();
+            let mut shards: Vec<DeliveryKernel> = members
+                .iter()
+                .map(|m| DeliveryKernel::new(m.len()))
+                .collect();
             let mut boundary: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); k];
             for s in &mut shards {
                 s.begin_slot();
@@ -777,8 +674,8 @@ mod tests {
             for &u in &global_touched {
                 let (s, lu) = (shard_of[u as usize], local_of[u as usize]);
                 assert_eq!(
-                    global.tx_count(u),
-                    shards[s].contention(u, lu, 3).transmitters,
+                    global.contention(u, u, 3).transmitters,
+                    shards[s].contention(lu, u, 3).transmitters,
                     "count at {u}"
                 );
                 assert_eq!(
@@ -840,7 +737,7 @@ mod tests {
                     let got: Vec<(NodeId, Reception)> = kernel
                         .touched()
                         .iter()
-                        .map(|&u| (u, ch_kernel.decide(&kernel.contention(u, slot))))
+                        .map(|&u| (u, ch_kernel.decide(&kernel.contention(u, u, slot))))
                         .collect();
                     assert_eq!(got, expect, "{spec:?} case {case} slot {slot}");
                 }

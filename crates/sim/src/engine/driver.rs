@@ -1,36 +1,36 @@
 //! The generic simulation driver: one owner for every cross-cutting
-//! concern the engines share.
+//! concern the sequential engines share.
 //!
-//! Historically each engine (`lockstep`, `event`, `jittered`) threaded
-//! the [`ChannelModel`] trait, the
-//! [`InvariantMonitor`], per-node statistics, the bounded fault log and
-//! protocol-error handling by hand through its own loop — six
-//! near-duplicate entry points that every new layer had to be wired
-//! into individually. [`SimDriver`] centralizes that wiring: it owns
-//! the per-node RNG streams, behaviors, stats, decision bookkeeping,
-//! the built channel model and the fault log, and exposes the hook
-//! sequence as small methods ([`wake_up`](SimDriver::wake_up),
+//! [`SimDriver`] holds one [`SlotKernel`] over all nodes — per-node RNG
+//! streams, behaviors, stats, decision bookkeeping, the fault log and
+//! the first protocol error — plus the built channel model and the
+//! monitor, and exposes the kernel's per-node hooks as small methods
+//! ([`wake_up`](SimDriver::wake_up),
 //! [`fire_deadline`](SimDriver::fire_deadline),
-//! [`broadcast`](SimDriver::broadcast), [`resolve`](SimDriver::resolve),
+//! [`compose`](SimDriver::compose), [`resolve`](SimDriver::resolve),
 //! [`deliver`](SimDriver::deliver)) that fire the protocol callback,
 //! validate the returned behavior, drive the monitor and update stats
 //! in the one canonical order.
 //!
-//! An [`Engine`] is now only a *slot-advance strategy*: a unit struct
-//! whose [`drive`](Engine::drive) owns nothing but engine-local
-//! scheduling state (an active set, an event heap, a packet queue) and
-//! calls back into the driver for every semantic step. The hook stack
-//! every run goes through is:
+//! An [`Engine`] is only a *slot-advance strategy*: a unit struct whose
+//! [`drive`](Engine::drive) owns nothing but engine-local scheduling
+//! state (an event heap, a packet queue) and calls back into the driver
+//! for every semantic step — or, for [`Lockstep`](super::lockstep::Lockstep),
+//! runs the kernel's four phases directly. The hook stack every run
+//! goes through is:
 //!
 //! ```text
 //!             SimDriver::run::<E, P, M>
 //!                       │
 //!             E::drive (slot advance)
-//!        ┌───────────┬──┴────────┬───────────┐
-//!     wake_up   fire_deadline  broadcast  deliver
-//!        │           │            │          │
-//!        ▼           ▼            ▼          ▼
-//!   RadioProtocol callback → Behavior::validate_at
+//!        ┌──────────────┴──────────────┐
+//!   Lockstep: kernel phases      EventSkip / Jittered:
+//!   wake → deadline →            wake_up, fire_deadline,
+//!   transmit → deliver           compose, resolve, deliver
+//!        └──────────────┬──────────────┘
+//!                       ▼
+//!   SlotKernel per-node hook: RadioProtocol callback → take_breach
+//!        → Behavior::validate_at → install
 //!        │
 //!        ▼
 //!   ChannelModel::decide (resolve: Collide/Drop/Jam bookkeeping)
@@ -39,130 +39,22 @@
 //!   InvariantMonitor hook (after_*, on_transmit, on_decided)
 //!        │
 //!        ▼
-//!   NodeStats / fault log / trace events
+//!   NodeStats / fault log / first ProtocolError
 //! ```
 //!
-//! [`SimDriver::run`] is the only entry point: the legacy `run_*` /
-//! `run_*_monitored` shims were retired one release after the driver
-//! unification, exactly as announced. A fourth execution strategy — the
-//! slot-parallel sharded driver in [`super::sharded`] — shares the same
-//! per-node semantics but runs its own SPMD loop; the bit-identity pin
-//! in `tests/driver_identity.rs` now compares it against this
-//! sequential driver.
+//! [`SimDriver::run`] is the only entry point. The slot-parallel
+//! sharded driver in [`super::sharded`] runs one kernel per shard; the
+//! bit-identity pin in `tests/driver_identity.rs` compares it against
+//! this sequential driver.
 
-use super::{collect_violations, log_fault, ExecutedEngine, NodeStats, SimConfig, SimOutcome};
-use crate::channel::{BuiltinChannel, ChannelModel, Contention, Reception};
+use super::kernel::SlotKernel;
+use super::{collect_violations, ExecutedEngine, SimConfig, SimOutcome};
+use crate::channel::{BuiltinChannel, Contention};
 use crate::monitor::InvariantMonitor;
-use crate::protocol::{Behavior, ProtocolError, RadioProtocol, Slot};
-use crate::rng::node_rng;
-use crate::trace::Event;
-use radio_graph::bitset::BitSet;
+use crate::protocol::{Behavior, RadioProtocol, Slot};
 use radio_graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
-
-/// Struct-of-arrays storage for per-node behavior segments.
-///
-/// The driver's hot sweeps (transmission draws, deadline scans, retired
-/// checks) used to pointer-chase a `Vec<Option<Behavior>>` whose
-/// three-word entries straddle cache lines. This table splits the same
-/// information into parallel arrays — two [`BitSet`] words answer
-/// "woken?" and "transmitting?" for 64 nodes per load, and the `f64`
-/// probabilities / deadline slots are dense arrays the sweep walks
-/// linearly. [`BehaviorTable::get`]/[`BehaviorTable::set`] round-trip
-/// [`Behavior`] values exactly (a `has_deadline` bitset keeps
-/// `until: Some(Slot::MAX)` distinct from `until: None`), so the
-/// enum-facing driver API is unchanged.
-pub(crate) struct BehaviorTable {
-    /// Node has a behavior installed (woke up).
-    present: BitSet,
-    /// Node's current segment is `Transmit { .. }`.
-    transmit: BitSet,
-    /// Node's current segment carries a deadline (`until` is `Some`).
-    has_deadline: BitSet,
-    /// Transmission probability; meaningful iff the transmit bit is set.
-    p: Vec<f64>,
-    /// Segment deadline; meaningful iff the has_deadline bit is set.
-    until: Vec<Slot>,
-}
-
-impl BehaviorTable {
-    /// An empty table for `n` nodes (no behaviors installed).
-    pub(crate) fn new(n: usize) -> Self {
-        BehaviorTable {
-            present: BitSet::new(n),
-            transmit: BitSet::new(n),
-            has_deadline: BitSet::new(n),
-            p: vec![0.0; n],
-            until: vec![0; n],
-        }
-    }
-
-    /// Node `v`'s behavior (`None` before wake-up).
-    #[inline]
-    pub(crate) fn get(&self, v: NodeId) -> Option<Behavior> {
-        let vi = v as usize;
-        if !self.present.contains(vi) {
-            return None;
-        }
-        let until = self.has_deadline.contains(vi).then(|| self.until[vi]);
-        Some(if self.transmit.contains(vi) {
-            Behavior::Transmit {
-                p: self.p[vi],
-                until,
-            }
-        } else {
-            Behavior::Silent { until }
-        })
-    }
-
-    /// Installs behavior `b` for node `v`.
-    #[inline]
-    pub(crate) fn set(&mut self, v: NodeId, b: Behavior) {
-        let vi = v as usize;
-        self.present.insert(vi);
-        let until = match b {
-            Behavior::Transmit { p, until } => {
-                self.transmit.insert(vi);
-                self.p[vi] = p;
-                until
-            }
-            Behavior::Silent { until } => {
-                self.transmit.remove(vi);
-                until
-            }
-        };
-        match until {
-            Some(u) => {
-                self.has_deadline.insert(vi);
-                self.until[vi] = u;
-            }
-            None => self.has_deadline.remove(vi),
-        }
-    }
-
-    /// Node `v`'s segment deadline, if present and set.
-    #[inline]
-    pub(crate) fn until(&self, v: NodeId) -> Option<Slot> {
-        let vi = v as usize;
-        (self.present.contains(vi) && self.has_deadline.contains(vi)).then(|| self.until[vi])
-    }
-
-    /// Transmission probability iff `v` is in a transmit segment.
-    #[inline]
-    pub(crate) fn tx_p(&self, v: NodeId) -> Option<f64> {
-        let vi = v as usize;
-        self.transmit.contains(vi).then(|| self.p[vi])
-    }
-
-    /// `true` iff `v` is installed as `Silent { until: None }` — the
-    /// permanently-quiet state [`SimDriver::retired`] looks for.
-    #[inline]
-    pub(crate) fn silent_forever(&self, v: NodeId) -> bool {
-        let vi = v as usize;
-        self.present.contains(vi) && !self.transmit.contains(vi) && !self.has_deadline.contains(vi)
-    }
-}
 
 /// What an [`Engine::drive`] implementation reports back to
 /// [`SimDriver::run`] when the slot-advance loop ends.
@@ -182,8 +74,8 @@ pub struct Completion {
 /// [`EventSkip`](super::event::EventSkip),
 /// [`Jittered`](super::jittered::Jittered)) selected statically via
 /// [`SimDriver::run`]; all protocol, channel, monitor and bookkeeping
-/// semantics live in the driver, so an engine only decides *which node
-/// acts at which slot* — never *what acting means*.
+/// semantics live in the driver's kernel, so an engine only decides
+/// *which node acts at which slot* — never *what acting means*.
 pub trait Engine {
     /// Extra per-run input the strategy needs beyond the common
     /// arguments: `()` for the aligned engines, the per-node phase bits
@@ -208,27 +100,18 @@ pub struct SimDriver<'a, P: RadioProtocol, M: InvariantMonitor<P>> {
     wake: &'a [Slot],
     max_slots: Slot,
     monitor: &'a mut M,
-    protocols: Vec<P>,
-    rngs: Vec<SmallRng>,
-    behaviors: BehaviorTable,
-    stats: Vec<NodeStats>,
-    decided: BitSet,
-    undecided: usize,
+    kernel: SlotKernel<P>,
     channel: BuiltinChannel,
-    air: Vec<Option<P::Message>>,
-    faults: Vec<Event>,
-    faults_dropped: u64,
-    error: Option<ProtocolError>,
 }
 
 impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
     /// Runs `protocols` on `graph` under slot-advance strategy `E`.
     ///
-    /// This is the single code path behind every `run_*` /
-    /// `run_*_monitored` entry point: it builds the shared state (RNG
-    /// streams, channel model, stats, fault log), hands control to
-    /// [`Engine::drive`], and assembles the [`SimOutcome`] epilogue
-    /// (canonically sorted violations mirrored into the fault log).
+    /// This is the single code path behind every sequential run: it
+    /// builds the shared state (the whole-graph kernel, the channel
+    /// model), hands control to [`Engine::drive`], and assembles the
+    /// [`SimOutcome`] epilogue (canonically sorted violations mirrored
+    /// into the fault log).
     ///
     /// # Panics
     /// Panics if `wake.len()` or `protocols.len()` differ from
@@ -245,29 +128,13 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
     ) -> SimOutcome<P> {
         let n = graph.len();
         assert_eq!(wake.len(), n, "wake schedule length mismatch");
-        assert_eq!(protocols.len(), n, "protocol vector length mismatch");
         let mut driver = SimDriver {
             graph,
             wake,
             max_slots: cfg.max_slots,
             monitor,
-            protocols,
-            rngs: (0..n as u32).map(|i| node_rng(seed, i)).collect(),
-            behaviors: BehaviorTable::new(n),
-            stats: wake
-                .iter()
-                .map(|&w| NodeStats {
-                    wake: w,
-                    ..NodeStats::default()
-                })
-                .collect(),
-            decided: BitSet::new(n),
-            undecided: n,
+            kernel: SlotKernel::whole(protocols, wake, seed),
             channel: cfg.channel.build(n, seed),
-            air: std::iter::repeat_with(|| None).take(n).collect(),
-            faults: Vec::new(),
-            faults_dropped: 0,
-            error: None,
         };
         let completion = E::drive(&mut driver, aux);
         driver.finish(completion)
@@ -303,81 +170,51 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
     /// Node `v`'s current behavior segment (`None` before wake-up).
     #[inline]
     pub fn behavior(&self, v: NodeId) -> Option<Behavior> {
-        self.behaviors.get(v)
+        self.kernel.behavior(v)
     }
 
     /// Node `v`'s current segment deadline, if any.
     #[inline]
     pub fn until(&self, v: NodeId) -> Option<Slot> {
-        self.behaviors.until(v)
+        self.kernel.behavior(v).and_then(|b| b.until())
     }
 
     /// Number of nodes that have not yet decided.
     #[inline]
     pub fn undecided(&self) -> usize {
-        self.undecided
-    }
-
-    /// `true` once a protocol callback returned a malformed behavior;
-    /// the engine must stop stepping (the stepping methods that can
-    /// observe this return `false` / `Err` at that point).
-    #[inline]
-    pub fn errored(&self) -> bool {
-        self.error.is_some()
-    }
-
-    /// `true` when `v` no longer needs per-slot attention: it has
-    /// decided and is permanently silent, so it draws no randomness,
-    /// meets no deadline, and never transmits again. Such nodes can be
-    /// compacted out of an engine's active set (they can still
-    /// *receive*; a reactivating `on_receive` puts them back).
-    #[inline]
-    pub fn retired(&self, v: NodeId) -> bool {
-        self.decided.contains(v as usize) && self.behaviors.silent_forever(v)
+        self.kernel.undecided()
     }
 
     /// Node `v`'s private RNG stream (for engine-side schedule draws
     /// such as geometric transmission skips).
     #[inline]
     pub fn rng(&mut self, v: NodeId) -> &mut SmallRng {
-        &mut self.rngs[v as usize]
+        &mut self.kernel.rngs[v as usize]
+    }
+
+    /// The whole-graph kernel, the channel model and the monitor, for
+    /// strategies that run the kernel's lock-step phases directly.
+    pub(crate) fn parts(&mut self) -> (&mut SlotKernel<P>, &mut BuiltinChannel, &mut M) {
+        (&mut self.kernel, &mut self.channel, &mut *self.monitor)
     }
 
     // ---- stepping methods ----------------------------------------------
 
     /// Wakes node `v` at `slot`: fires `on_wake`, validates and installs
     /// the returned behavior, drives the monitor and decision
-    /// bookkeeping. Returns `false` if the behavior was malformed (the
-    /// error is recorded and the engine must stop).
+    /// bookkeeping. Returns `false` on a protocol error (recorded; the
+    /// engine must stop).
     #[inline]
     pub fn wake_up(&mut self, v: NodeId, slot: Slot) -> bool {
-        let vi = v as usize;
-        let b = self.protocols[vi].on_wake(slot, &mut self.rngs[vi]);
-        self.install(v, slot, b)
+        self.kernel.wake_node(v, slot, self.monitor)
     }
 
     /// Fires node `v`'s deadline at `slot`: `on_deadline`, validation,
-    /// monitor, decision bookkeeping. Returns `false` on a malformed
-    /// behavior.
+    /// monitor, decision bookkeeping. Returns `false` on a protocol
+    /// error.
     #[inline]
     pub fn fire_deadline(&mut self, v: NodeId, slot: Slot) -> bool {
-        let vi = v as usize;
-        let b = self.protocols[vi].on_deadline(slot, &mut self.rngs[vi]);
-        if self.check_breach(v, slot) {
-            return false;
-        }
-        if let Err(fault) = b.validate_at(slot) {
-            self.error = Some(ProtocolError {
-                node: v,
-                slot,
-                fault,
-            });
-            return false;
-        }
-        self.behaviors.set(v, b);
-        self.monitor.after_deadline(v, slot, &self.protocols[vi]);
-        self.note_decided(v, slot);
-        true
+        self.kernel.fire_deadline(v, slot, self.monitor)
     }
 
     /// One Bernoulli transmission draw for node `v`'s current segment:
@@ -385,37 +222,33 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
     /// with probability `p` succeeds. Draws nothing for silent nodes.
     #[inline]
     pub fn bernoulli_tx(&mut self, v: NodeId) -> bool {
-        match self.behaviors.tx_p(v) {
-            Some(p) => self.rngs[v as usize].gen_bool(p),
+        match self.kernel.tx_p(v) {
+            Some(p) => self.kernel.rngs[v as usize].gen_bool(p),
             None => false,
         }
     }
 
     /// Builds node `v`'s message for `slot` and fires the transmit-side
-    /// hooks (monitor `on_transmit`, `sent` counter). The caller owns
-    /// the returned message's fate — aligned engines park it on the air
-    /// via [`broadcast`](Self::broadcast), the jittered engine wraps it
-    /// in a packet.
+    /// hooks (monitor `on_transmit`, `sent` counter). `None` when the
+    /// protocol breached its contract (recorded; the engine must stop).
+    /// The caller owns the returned message's fate — aligned engines
+    /// park it on the air via [`broadcast`](Self::broadcast), the
+    /// jittered engine wraps it in a packet.
     #[inline]
-    pub fn compose(&mut self, v: NodeId, slot: Slot) -> P::Message {
-        let vi = v as usize;
-        let msg = self.protocols[vi].message(slot, &mut self.rngs[vi]);
-        // A breach here cannot stop composition (the engine owns the
-        // message's fate); the recorded error vetoes `all_decided` and
-        // surfaces in the outcome like any other protocol error.
-        self.check_breach(v, slot);
-        self.monitor.on_transmit(v, slot, &msg, &self.protocols[vi]);
-        self.stats[vi].sent += 1;
-        msg
+    pub fn compose(&mut self, v: NodeId, slot: Slot) -> Option<P::Message> {
+        self.kernel.compose(v, slot, self.monitor)
     }
 
     /// [`compose`](Self::compose) for aligned-slot engines: the message
     /// is parked on the air for this slot (read back by
-    /// [`air`](Self::air) during delivery).
+    /// [`air`](Self::air) during delivery). `false` on a protocol error.
     #[inline]
-    pub fn broadcast(&mut self, v: NodeId, slot: Slot) {
-        let msg = self.compose(v, slot);
-        self.air[v as usize] = Some(msg);
+    pub fn broadcast(&mut self, v: NodeId, slot: Slot) -> bool {
+        let Some(msg) = self.compose(v, slot) else {
+            return false;
+        };
+        self.kernel.air[v as usize] = Some(msg);
+        true
     }
 
     /// The message node `w` parked on the air this slot (cloned), if
@@ -423,149 +256,46 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
     /// delivery kernel only ever reports current-slot transmitters.
     #[inline]
     pub fn air(&self, w: NodeId) -> Option<P::Message> {
-        self.air[w as usize].clone()
+        self.kernel.air[w as usize].clone()
     }
 
     /// Lets the channel model decide a contention. On
-    /// [`Reception::Deliver`] returns the winning transmitter; the
+    /// [`Reception::Deliver`](crate::channel::Reception::Deliver) returns
+    /// the winning transmitter; the
     /// Collide / Drop / Jam outcomes are fully absorbed here (listener
     /// stats, bounded fault log) and return `None`.
     #[inline]
     pub fn resolve(&mut self, c: &Contention) -> Option<NodeId> {
-        let ui = c.listener as usize;
-        match self.channel.decide(c) {
-            Reception::Deliver(w) => return Some(w),
-            Reception::Collide => self.stats[ui].collisions += 1,
-            Reception::Drop => {
-                self.stats[ui].drops += 1;
-                log_fault(
-                    &mut self.faults,
-                    &mut self.faults_dropped,
-                    Event::Drop {
-                        node: c.listener,
-                        slot: c.slot,
-                    },
-                );
-            }
-            Reception::Jam => {
-                self.stats[ui].jams += 1;
-                log_fault(
-                    &mut self.faults,
-                    &mut self.faults_dropped,
-                    Event::Jam {
-                        node: c.listener,
-                        slot: c.slot,
-                    },
-                );
-            }
-        }
-        None
+        self.kernel.resolve(c.listener, c, &mut self.channel)
     }
 
     /// Delivers `msg` to listener `u` at its local `slot`: `received`
     /// counter, `on_receive`, validation of any returned behavior,
     /// monitor `after_receive`, decision bookkeeping. `Ok(true)` means
     /// the node installed a new behavior segment (engines react by
-    /// re-activating / re-scheduling it); `Err(())` means a malformed
-    /// behavior stopped the run — the unit error is deliberate: the
-    /// typed [`ProtocolError`] is recorded on the driver and surfaces
-    /// in [`SimOutcome::error`], engines only need the stop signal.
+    /// re-activating / re-scheduling it); `Err(())` means a protocol
+    /// error stopped the run — the unit error is deliberate: the typed
+    /// [`ProtocolError`](crate::protocol::ProtocolError) is recorded on
+    /// the kernel and surfaces in [`SimOutcome::error`], engines only
+    /// need the stop signal.
     #[inline]
     #[allow(clippy::result_unit_err)]
     pub fn deliver(&mut self, u: NodeId, slot: Slot, msg: &P::Message) -> Result<bool, ()> {
-        let ui = u as usize;
-        self.stats[ui].received += 1;
-        let nb = self.protocols[ui].on_receive(slot, msg, &mut self.rngs[ui]);
-        if self.check_breach(u, slot) {
-            return Err(());
-        }
-        let mut changed = false;
-        if let Some(nb) = nb {
-            if let Err(fault) = nb.validate_at(slot) {
-                self.error = Some(ProtocolError {
-                    node: u,
-                    slot,
-                    fault,
-                });
-                return Err(());
-            }
-            self.behaviors.set(u, nb);
-            changed = true;
-        }
-        self.monitor
-            .after_receive(u, slot, msg, &self.protocols[ui]);
-        self.note_decided(u, slot);
-        Ok(changed)
-    }
-
-    // ---- internals -----------------------------------------------------
-
-    /// Validates and installs behavior `b` for `v` (wake-up path), then
-    /// fires `after_wake` and decision bookkeeping.
-    #[inline]
-    fn install(&mut self, v: NodeId, slot: Slot, b: Behavior) -> bool {
-        let vi = v as usize;
-        if self.check_breach(v, slot) {
-            return false;
-        }
-        if let Err(fault) = b.validate_at(slot) {
-            self.error = Some(ProtocolError {
-                node: v,
-                slot,
-                fault,
-            });
-            return false;
-        }
-        self.behaviors.set(v, b);
-        self.monitor.after_wake(v, slot, &self.protocols[vi]);
-        self.note_decided(v, slot);
-        true
-    }
-
-    /// Polls [`RadioProtocol::take_breach`] after a callback on `v`:
-    /// records the typed error and returns `true` if the last callback
-    /// was invoked outside the driver contract.
-    #[inline]
-    fn check_breach(&mut self, v: NodeId, slot: Slot) -> bool {
-        match self.protocols[v as usize].take_breach() {
-            Some(fault) => {
-                self.error = Some(ProtocolError {
-                    node: v,
-                    slot,
-                    fault,
-                });
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Flips `v`'s decided flag (once) when its protocol reports
-    /// decided, recording the slot and firing `on_decided`.
-    #[inline]
-    fn note_decided(&mut self, v: NodeId, slot: Slot) {
-        let vi = v as usize;
-        if !self.decided.contains(vi) && self.protocols[vi].is_decided() {
-            self.decided.insert(vi);
-            self.stats[vi].decided_at = Some(slot);
-            self.undecided -= 1;
-            self.monitor.on_decided(v, slot, &self.protocols[vi]);
-        }
+        self.kernel.receive(u, slot, msg, self.monitor).ok_or(())
     }
 
     /// The engine epilogue: canonicalizes the channel-fault log, drains
     /// and sorts monitor violations, mirrors them into the fault log,
     /// and assembles the outcome.
     fn finish(self, completion: Completion) -> SimOutcome<P> {
-        let SimDriver {
-            monitor,
+        let SlotKernel {
             protocols,
             stats,
             mut faults,
             mut faults_dropped,
             error,
             ..
-        } = self;
+        } = self.kernel;
         // Channel faults are logged in delivery-visit order, which is an
         // engine-internal detail (the lock-step engine walks its active
         // set, the sharded driver merges per-shard logs). Sort them into
@@ -574,7 +304,7 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
         // monitor's violations are mirrored in, so outcomes compare
         // across execution strategies.
         faults.sort_by_key(|e| (e.slot(), e.node()));
-        let violations = collect_violations::<P, M>(monitor, &mut faults, &mut faults_dropped);
+        let violations = collect_violations::<P, M>(self.monitor, &mut faults, &mut faults_dropped);
         SimOutcome {
             protocols,
             stats,

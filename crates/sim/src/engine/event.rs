@@ -127,7 +127,9 @@ impl Engine for EventSkip {
                             continue; // stale
                         }
                         debug_assert!(matches!(d.behavior(v), Some(Behavior::Transmit { .. })));
-                        d.broadcast(v, slot);
+                        if !d.broadcast(v, slot) {
+                            break 'run;
+                        }
                         kernel.transmit(d.graph(), v);
                         // Next transmission of the same segment.
                         if let Some(Behavior::Transmit { p, .. }) = d.behavior(v) {
@@ -152,7 +154,7 @@ impl Engine for EventSkip {
                 if wake[u as usize] > slot {
                     continue; // asleep
                 }
-                if let Some(w) = d.resolve(&kernel.contention(u, slot)) {
+                if let Some(w) = d.resolve(&kernel.contention(u, u, slot)) {
                     // The kernel only reports transmitters, and every
                     // transmitter parked its message in the air this
                     // slot; a missing one would be an engine defect, so

@@ -159,7 +159,9 @@ impl Engine for Jittered {
                     break 'outer;
                 }
                 if d.bernoulli_tx(v) {
-                    let msg = d.compose(v, t);
+                    let Some(msg) = d.compose(v, t) else {
+                        break 'outer;
+                    };
                     tx_starts[vi] = [half as i64, tx_starts[vi][0]];
                     kernel.transmit(graph, v, half);
                     pending.push_back(Packet {

@@ -2,21 +2,20 @@
 //! slot; transmission decisions are independent Bernoulli draws — a
 //! direct transcription of the model in Sect. 2 of the paper.
 //!
-//! Since the [`SimDriver`] refactor this
-//! module only contains the slot-advance strategy ([`Lockstep`]); all
-//! protocol/channel/monitor threading lives in [`super::driver`].
+//! [`Lockstep`] is a short loop over the four phases of the driver's
+//! whole-graph [`SlotKernel`](super::kernel::SlotKernel); all
+//! protocol/channel/monitor threading lives in the kernel.
 
 use super::driver::{Completion, Engine, SimDriver};
-use crate::delivery::DeliveryKernel;
 use crate::monitor::InvariantMonitor;
 use crate::protocol::{RadioProtocol, Slot};
-use radio_graph::NodeId;
+use rand::Rng;
 
-/// The per-slot reference strategy: walk the active set every slot.
-///
-/// Maintains an active set with retirement compaction (decided,
-/// permanently silent nodes are dropped from the per-slot loops and
-/// re-inserted if a reception gives them a new behavior segment).
+/// The per-slot reference strategy: run the kernel's phases for every
+/// slot until every node decided, a protocol error stopped the run, or
+/// the slot budget ran out. The kernel's active set drops retired
+/// nodes from the per-slot loops (re-inserting them if a reception
+/// gives them a new behavior segment).
 pub struct Lockstep;
 
 impl Engine for Lockstep {
@@ -26,111 +25,29 @@ impl Engine for Lockstep {
         d: &mut SimDriver<'_, P, M>,
         _aux: (),
     ) -> Completion {
-        let n = d.n();
-        let wake = d.wake();
-        // Nodes ordered by wake slot, consumed as the clock advances.
-        let mut wake_order: Vec<NodeId> = (0..n as NodeId).collect();
-        wake_order.sort_by_key(|&v| wake[v as usize]);
-        let mut next_wake = 0usize;
-        // Active set: awake nodes that still need per-slot attention.
-        // Retired nodes (see `SimDriver::retired`) are compacted out;
-        // `in_active` tracks membership so a reactivating receive can
-        // re-insert.
-        let mut active: Vec<NodeId> = Vec::with_capacity(n);
-        let mut in_active: Vec<bool> = vec![false; n];
-        let mut kernel = DeliveryKernel::new(n);
-
-        let mut slots_run = 0;
-        let mut all_decided = n == 0;
+        let (graph, max_slots) = (d.graph(), d.max_slots());
+        let (k, channel, monitor) = d.parts();
         let mut slot: Slot = 0;
-        'run: while slot <= d.max_slots() {
-            slots_run = slot;
-
-            // 1. Wake-ups.
-            while next_wake < n && wake[wake_order[next_wake] as usize] == slot {
-                let v = wake_order[next_wake];
-                next_wake += 1;
-                active.push(v);
-                in_active[v as usize] = true;
-                if !d.wake_up(v, slot) {
-                    break 'run;
-                }
-            }
-
-            // 2. Deadlines.
-            for &v in &active {
-                if d.until(v) == Some(slot) && !d.fire_deadline(v, slot) {
-                    break 'run;
-                }
-            }
-
-            // 3. Transmission decisions: scatter each transmission to the
-            //    neighbors' delivery accumulators as it happens.
-            kernel.begin_slot();
-            for &v in &active {
-                if d.bernoulli_tx(v) {
-                    d.broadcast(v, slot);
-                    kernel.transmit(d.graph(), v);
-                }
-            }
-
-            // 4. Deliveries: the channel model decides each touched
-            //    listener's outcome from the kernel's per-listener counts
-            //    (under `Ideal` this is exactly "receive iff one neighbor
-            //    transmitted"). Sleeping nodes receive nothing; this is a
-            //    flat pass over the touched listeners — no neighborhood
-            //    re-scan.
-            for &u in kernel.touched() {
-                if kernel.is_transmitter(u) {
-                    continue; // transmitting itself: cannot receive
-                }
-                if wake[u as usize] > slot {
-                    continue; // still asleep
-                }
-                if let Some(w) = d.resolve(&kernel.contention(u, slot)) {
-                    // The kernel only reports transmitters, and every
-                    // transmitter parked its message in the air this slot;
-                    // a missing one would be an engine defect, so skip
-                    // the delivery rather than panic on the hot path.
-                    let Some(msg) = d.air(w) else {
-                        debug_assert!(false, "transmitter {w} has no message");
-                        continue;
-                    };
-                    match d.deliver(u, slot, &msg) {
-                        Err(()) => break 'run,
-                        // A retired node that picked up a new behavior
-                        // needs per-slot attention again.
-                        Ok(true) => {
-                            if !in_active[u as usize] {
-                                in_active[u as usize] = true;
-                                active.push(u);
-                            }
-                        }
-                        Ok(false) => {}
-                    }
-                }
-            }
-
-            // 5. Termination: everyone woke and decided.
-            if d.undecided() == 0 && next_wake == n {
-                all_decided = true;
+        loop {
+            let ok = k.wake_phase(slot, monitor)
+                && k.deadline_phase(slot, monitor)
+                && k.transmit_phase(slot, |_, p, rng| rng.gen_bool(p), monitor);
+            if !ok {
                 break;
             }
-
-            // 6. Compaction: drop retired nodes from the active set. They
-            //    draw no randomness and never transmit, so removal cannot
-            //    change any outcome — it only shrinks the per-slot loops.
-            active.retain(|&v| {
-                let keep = !d.retired(v);
-                in_active[v as usize] = keep;
-                keep
-            });
+            k.scatter(graph, Some, |_, _, _| {});
+            if !k.deliver_phase(slot, channel, Some, monitor)
+                || k.undecided() == 0
+                || slot == max_slots
+            {
+                break;
+            }
+            k.compact();
             slot += 1;
         }
-
         Completion {
-            all_decided,
-            slots_run,
+            all_decided: k.undecided() == 0,
+            slots_run: slot,
         }
     }
 }

@@ -15,21 +15,23 @@
 //! slots with half-slot phase offsets (paper Sect. 2's remark), which
 //! reduces exactly to the lock-step engine when all phases agree.
 //!
-//! All three are *slot-advance strategies* ([`driver::Engine`]
-//! implementors) over the shared generic [`driver::SimDriver`], which
-//! owns every cross-cutting concern: channel model, invariant monitor,
-//! per-node stats, fault log and protocol-error handling. See the
+//! The intra-slot rule itself is written once, in [`kernel`]. All three
+//! engines are *slot-advance strategies* ([`driver::Engine`]
+//! implementors) over the generic [`driver::SimDriver`], which holds one
+//! whole-graph kernel plus the channel model and the monitor. See the
 //! [`driver`] module docs for the hook stack.
 //!
 //! A fourth execution strategy, the slot-parallel driver in
-//! [`sharded`], partitions the node set spatially and steps the shards
-//! concurrently within each slot — same per-node semantics, verified
-//! bit-identical to the sequential driver in `tests/driver_identity.rs`
-//! and sized for million-node runs.
+//! [`sharded`], partitions the node set spatially and runs one kernel
+//! per shard, concurrently within each slot — verified bit-identical to
+//! the sequential driver in `tests/driver_identity.rs` and sized for
+//! million-node runs. The model checker's stepper
+//! (`urn_coloring::step::SlotStepper`) is a kernel too.
 
 pub mod driver;
 pub mod event;
 pub mod jittered;
+pub mod kernel;
 pub mod lockstep;
 pub mod sharded;
 

@@ -1,22 +1,21 @@
 //! The spatially-sharded slot-parallel driver: shards of the node set
 //! run concurrently within each slot, with a deterministic boundary
 //! exchange merging cross-shard transmissions — bit-identical to the
-//! sequential [`SimDriver`] running the
-//! [`Lockstep`] strategy.
+//! sequential [`SimDriver`] running the [`Lockstep`] strategy.
 //!
 //! # Execution model
 //!
 //! The node set is split by a [`Partition`] (spatial for UDG workloads,
-//! contiguous otherwise). Each shard owns struct-of-arrays state for
-//! its members — protocols, per-node RNG streams, a
-//! `BehaviorTable`, stats, a local [`ShardKernel`] — and one thread
-//! per shard steps the slot loop in lock-step, synchronized by a
-//! `SpinBarrier`. Per slot:
+//! contiguous otherwise). Each shard is a [`SlotKernel`] over its
+//! members — the same per-node state and slot phases the sequential
+//! driver runs — plus a full-size channel clone, per-destination
+//! staging buffers and a hook tape. One thread per shard steps the
+//! slot loop in lock-step, synchronized by a [`SpinBarrier`]. Per slot:
 //!
 //! ```text
 //!   phase A   wake-ups + deadlines (shard-local; no cross-node reads)
-//!   phase B   transmission draws; local scatter into the shard kernel,
-//!             boundary scatter into per-(src,dst) mailboxes
+//!   phase B   transmission draws; local scatter into the shard's
+//!             accumulator, boundary scatter into per-(src,dst) mailboxes
 //!   --------- barrier: all transmissions visible ----------
 //!   phase C   mailbox merge (ascending source shard) + delivery sweep:
 //!             channel decides each touched local listener
@@ -25,145 +24,63 @@
 //!
 //! # Why this is bit-identical to the sequential driver
 //!
-//! * **RNG privacy.** Every random draw a node makes (`on_wake`,
-//!   `on_deadline`, Bernoulli transmission, `message`, `on_receive`)
-//!   comes from its private [`node_rng`] stream, and the draw sequence
-//!   is a function of the node's own event timeline only. Sharding
-//!   changes which thread performs a draw, never its position in the
-//!   node's stream.
-//! * **Exact contention counts.** The per-listener transmitter counts a
-//!   shard accumulates (local adds + merged boundary adds) equal the
-//!   sequential kernel's counts — addition is commutative, and the
-//!   built-in channel models only distinguish `1` from `≥ 2`.
-//! * **Channel privacy.** Every shard builds the same full-size channel
-//!   model from the same run seed; the built-in models keep per-listener
-//!   state (counter-keyed draws, per-listener Markov chains), and each
-//!   listener is decided only on its home shard, in the same
-//!   (listener, slot) query sequence as the sequential run. The one
-//!   globally order-dependent model,
-//!   [`AdversarialJam`](crate::channel::ChannelSpec::AdversarialJam),
-//!   reports [`is_shardable`](crate::channel::ChannelSpec::is_shardable)
-//!   `= false` and the entry point falls back to the sequential driver.
-//! * **Canonical logs.** Channel faults are merged and sorted into the
-//!   same `(slot, node)` order the sequential driver now emits, and
-//!   monitor violations were already canonically sorted by the shared
-//!   epilogue.
+//! A shard runs the sequential driver's own kernel code, so only the
+//! split needs arguing (DESIGN.md, "Sharded driver"): every draw comes
+//! from the node's private `node_rng` stream, whichever thread makes
+//! it; per-listener counts are sums of local and merged boundary adds,
+//! and the channel models only tell `1` from `≥ 2`; every shard builds
+//! the same channel from the run seed and decides each listener only on
+//! its home shard (the order-dependent
+//! [`AdversarialJam`](crate::channel::ChannelSpec::AdversarialJam) is
+//! not [`is_shardable`](crate::channel::ChannelSpec::is_shardable) and
+//! falls back to the sequential driver); and fault and violation logs
+//! are sorted into the same canonical `(slot, node)` order.
 //!
 //! # Monitor replay
 //!
 //! [`InvariantMonitor`]s are not required to be [`Send`], and the
 //! monitor contract only guarantees hook-order independence *within* a
 //! slot. The sharded driver therefore never calls the monitor from a
-//! worker: shards record their hook events per phase, and the main
-//! thread replays them (sorted by node id, phases in sequential order)
-//! between barrier pairs while the workers are parked. Unmonitored runs
-//! ([`InvariantMonitor::is_null`]) skip the replay windows entirely and
-//! run two barriers per slot instead of six.
+//! worker: each shard's kernel drives a recording `Tape`, and the
+//! main thread replays the tapes (sorted by node id, phases in
+//! sequential order) between barrier pairs while the workers are
+//! parked. Unmonitored runs ([`InvariantMonitor::is_null`]) skip the
+//! replay windows entirely and run two barriers per slot instead of
+//! six.
 //!
-//! # Divergence on protocol errors
+//! # Protocol errors
 //!
-//! The sequential driver stops mid-slot at the first malformed
-//! behavior, in engine visit order. The sharded driver halts the
-//! erroring shard but lets the other shards finish the slot's phases,
-//! then stops; when several shards error in the same slot the smallest
-//! `(slot, node)` error is reported. Stats of *error* runs can thus
-//! differ between the two drivers (`all_decided` is `false` and
-//! [`SimOutcome::error`] is `Some` either way); error-free runs — the
-//! only ones the identity pin exercises — are bit-identical.
+//! Each kernel stops at its first error, exactly like the sequential
+//! driver. The other shards finish the slot's phases, then every
+//! thread stops; when several shards error in the same slot the
+//! smallest `(slot, node)` error is reported, where the sequential
+//! driver reports the first one in its visit order. The stats of such
+//! runs can differ between the two drivers (`all_decided` is `false`
+//! and [`SimOutcome::error`] is `Some` either way).
 
-use super::driver::{BehaviorTable, SimDriver};
+use super::driver::SimDriver;
+use super::kernel::SlotKernel;
 use super::lockstep::Lockstep;
-use super::{
-    collect_violations, log_fault, ExecutedEngine, NodeStats, SimConfig, SimOutcome, MAX_FAULT_LOG,
-};
-use crate::channel::{BuiltinChannel, ChannelModel, Reception};
-use crate::delivery::ShardKernel;
+use super::{collect_violations, ExecutedEngine, NodeStats, SimConfig, SimOutcome, MAX_FAULT_LOG};
+use crate::channel::BuiltinChannel;
 use crate::monitor::InvariantMonitor;
-use crate::protocol::{BehaviorFault, ProtocolError, RadioProtocol, Slot};
-use crate::rng::node_rng;
+use crate::protocol::{RadioProtocol, Slot};
 use crate::trace::Event;
 use parking_lot::Mutex;
-use radio_graph::bitset::BitSet;
 use radio_graph::{Graph, NodeId, Partition};
-use rand::rngs::SmallRng;
+use radio_transport::SpinBarrier;
 use rand::Rng;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::MutexGuard;
-
-/// A reusable spinning barrier with a leader closure.
-///
-/// `std::sync::Barrier` parks threads through the OS on every wait; at
-/// six waits per simulated slot that dominates the slot loop. This
-/// barrier spins briefly (the phases it separates are microseconds
-/// long) and then yields, so it stays correct — if slow — when shards
-/// outnumber cores. The closure passed to [`wait`](SpinBarrier::wait)
-/// runs exactly once per generation, on the last-arriving thread,
-/// strictly before any thread is released.
-struct SpinBarrier {
-    /// Threads arrived in the current generation.
-    count: AtomicUsize,
-    /// Generation counter; incremented by the leader to release waiters.
-    gen: AtomicUsize,
-    /// Number of participating threads.
-    total: usize,
-}
-
-impl SpinBarrier {
-    fn new(total: usize) -> Self {
-        SpinBarrier {
-            count: AtomicUsize::new(0),
-            gen: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    /// Blocks until all `total` threads have arrived. The last arriver
-    /// runs `leader`, resets the barrier and releases everyone.
-    ///
-    /// Memory ordering: every arriver's prior writes are published by
-    /// the `AcqRel` increment of `count`; the leader's release-store of
-    /// `gen` (after running `leader`) is observed by the waiters'
-    /// acquire-loads, so all phase-N writes happen-before any phase-N+1
-    /// read.
-    fn wait(&self, leader: impl FnOnce()) {
-        let g = self.gen.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            leader();
-            self.count.store(0, Ordering::Relaxed);
-            self.gen.fetch_add(1, Ordering::Release);
-        } else {
-            let mut spins = 0u32;
-            while self.gen.load(Ordering::Acquire) == g {
-                spins += 1;
-                if spins < 128 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One boundary delivery: `(listener, sender, message)`, all ids global.
 type Delivery<P> = (NodeId, NodeId, <P as RadioProtocol>::Message);
 
-/// Cross-shard coordination state (all counters `Relaxed`: the barrier
-/// provides the ordering, see [`SpinBarrier::wait`]).
+/// Cross-shard coordination state (`Relaxed`: the barrier provides the
+/// ordering, see [`SpinBarrier::wait`]).
 struct Shared {
-    /// Nodes that have not yet decided (starts at `n`).
-    undecided: AtomicUsize,
-    /// Nodes that have woken so far.
-    woken: AtomicUsize,
     /// Set by the termination evaluation; all threads leave the slot
     /// loop at the end of the slot in which it is raised.
     stop: AtomicBool,
-    /// Every node woke and decided (pending the error veto).
-    all_decided: AtomicBool,
-    /// A shard hit a protocol error and halted.
-    aborted: AtomicBool,
-    /// The canonical (smallest `(slot, node)`) protocol error.
-    error: Mutex<Option<ProtocolError>>,
 }
 
 /// Read-only per-run context shared by all shard threads.
@@ -172,7 +89,7 @@ struct Ctx<'a, P: RadioProtocol> {
     wake: &'a [Slot],
     /// Global node id → owning shard.
     shard_of: &'a [u32],
-    /// Global node id → index within its shard's arrays.
+    /// Global node id → index within its shard's kernel.
     local_of: &'a [u32],
     shared: &'a Shared,
     /// `mailbox[src][dst]`: boundary deliveries scattered by shard
@@ -180,182 +97,109 @@ struct Ctx<'a, P: RadioProtocol> {
     /// has exactly one writer and one reader per slot, on opposite
     /// sides of a barrier.
     mailbox: &'a [Vec<Mutex<Vec<Delivery<P>>>>],
-    /// Record hook events for the main thread's monitor replay.
-    record: bool,
 }
 
-/// Struct-of-arrays state for one shard, indexed by local node index
-/// (the position in `members`, which is sorted by global id).
+impl<P: RadioProtocol> Ctx<'_, P> {
+    /// Shard `id`'s member map: `v`'s local index iff `id` owns it.
+    fn local(&self, id: usize, v: NodeId) -> Option<u32> {
+        (self.shard_of[v as usize] as usize == id).then(|| self.local_of[v as usize])
+    }
+}
+
+/// One recorded monitor hook.
+enum Hook<M> {
+    Wake,
+    Deadline,
+    Transmit(M),
+    Receive(M),
+}
+
+/// The recording monitor a shard's kernel drives: one row per hook
+/// (`kind, global id, decided-now`), replayed by the main thread. Off
+/// (records nothing) for unmonitored runs.
+struct Tape<P: RadioProtocol> {
+    on: bool,
+    rows: Vec<(Hook<P::Message>, NodeId, bool)>,
+}
+
+impl<P: RadioProtocol> Tape<P> {
+    fn push(&mut self, node: NodeId, hook: impl FnOnce() -> Hook<P::Message>) {
+        if self.on {
+            self.rows.push((hook(), node, false));
+        }
+    }
+}
+
+impl<P: RadioProtocol> InvariantMonitor<P> for Tape<P> {
+    fn after_wake(&mut self, node: NodeId, _slot: Slot, _proto: &P) {
+        self.push(node, || Hook::Wake);
+    }
+
+    fn after_deadline(&mut self, node: NodeId, _slot: Slot, _proto: &P) {
+        self.push(node, || Hook::Deadline);
+    }
+
+    fn on_transmit(&mut self, node: NodeId, _slot: Slot, msg: &P::Message, _proto: &P) {
+        self.push(node, || Hook::Transmit(msg.clone()));
+    }
+
+    fn after_receive(&mut self, node: NodeId, _slot: Slot, msg: &P::Message, _proto: &P) {
+        self.push(node, || Hook::Receive(msg.clone()));
+    }
+
+    /// The kernel fires this right after the hook that caused it, for
+    /// the same node: flag that row.
+    fn on_decided(&mut self, node: NodeId, _slot: Slot, _proto: &P) {
+        if let Some(row) = self.rows.last_mut() {
+            debug_assert_eq!(row.1, node, "on_decided follows its own hook");
+            row.2 = true;
+        }
+    }
+}
+
+/// One shard: a kernel over its members plus the boundary exchange.
 struct ShardState<P: RadioProtocol> {
     /// This shard's index.
     id: usize,
-    /// Global ids of owned nodes, ascending.
-    members: Vec<NodeId>,
-    protocols: Vec<P>,
-    /// Private per-node streams, identical to the sequential driver's.
-    rngs: Vec<SmallRng>,
-    behaviors: BehaviorTable,
-    stats: Vec<NodeStats>,
-    decided: BitSet,
+    kernel: SlotKernel<P>,
     /// Full-size channel clone; only local listeners are ever decided.
     channel: BuiltinChannel,
-    kernel: ShardKernel,
-    /// Message a local node parked on the air (valid for the current
-    /// slot iff the node transmitted; never cleared, like the
-    /// sequential driver's air).
-    air: Vec<Option<P::Message>>,
-    /// Message of the slot's first *remote* contributor per local
-    /// listener; only read when the slot's unique winner is remote, in
-    /// which case that sole contribution wrote it this slot.
-    pending: Vec<Option<P::Message>>,
-    /// Local indices stable-sorted by wake slot (ties: ascending id).
-    wake_order: Vec<u32>,
-    next_wake: usize,
-    /// Local indices needing per-slot attention (see `Lockstep`).
-    active: Vec<u32>,
-    in_active: Vec<bool>,
     /// Per-destination-shard staging buffers, flushed once per slot.
     outgoing: Vec<Vec<Delivery<P>>>,
-    faults: Vec<Event>,
-    faults_dropped: u64,
-    /// Replay records: `(global id, decided-now)` per hook class.
-    rec_woken: Vec<(NodeId, bool)>,
-    rec_fired: Vec<(NodeId, bool)>,
-    rec_sent: Vec<NodeId>,
-    rec_received: Vec<(NodeId, P::Message, bool)>,
-    /// A protocol error occurred here: skip all remaining phases (the
-    /// owning thread keeps hitting the barriers).
-    halted: bool,
+    tape: Tape<P>,
 }
 
 impl<P: RadioProtocol> ShardState<P> {
-    /// Flips the local node's decided flag (once), mirroring
-    /// `SimDriver::note_decided`; returns `true` on the transition (the
-    /// replay fires `on_decided` then).
-    #[inline]
-    fn note_decided(&mut self, li: usize, slot: Slot, shared: &Shared) -> bool {
-        if !self.decided.contains(li) && self.protocols[li].is_decided() {
-            self.decided.insert(li);
-            self.stats[li].decided_at = Some(slot);
-            shared.undecided.fetch_sub(1, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Records a malformed behavior: keeps the smallest `(slot, node)`
-    /// error globally and halts this shard.
-    fn fail(&mut self, shared: &Shared, node: NodeId, slot: Slot, fault: BehaviorFault) {
-        let mut e = shared.error.lock();
-        let better = match &*e {
-            None => true,
-            Some(prev) => (slot, node) < (prev.slot, prev.node),
-        };
-        if better {
-            *e = Some(ProtocolError { node, slot, fault });
-        }
-        shared.aborted.store(true, Ordering::Relaxed);
-        self.halted = true;
-    }
-
-    /// Phase A: wake-ups due this slot (ascending global id), then
-    /// deadline firings over the active set — same per-node call
-    /// sequence as the sequential driver's phases 1–2.
-    fn phase_wakes_deadlines(&mut self, slot: Slot, ctx: &Ctx<'_, P>) {
-        if self.halted {
-            return;
-        }
-        while self.next_wake < self.members.len()
-            && ctx.wake[self.members[self.wake_order[self.next_wake] as usize] as usize] == slot
-        {
-            let l = self.wake_order[self.next_wake];
-            self.next_wake += 1;
-            let li = l as usize;
-            self.active.push(l);
-            self.in_active[li] = true;
-            ctx.shared.woken.fetch_add(1, Ordering::Relaxed);
-            let g = self.members[li];
-            let b = self.protocols[li].on_wake(slot, &mut self.rngs[li]);
-            if let Some(fault) = self.protocols[li].take_breach() {
-                self.fail(ctx.shared, g, slot, fault);
-                return;
-            }
-            if let Err(fault) = b.validate_at(slot) {
-                self.fail(ctx.shared, g, slot, fault);
-                return;
-            }
-            self.behaviors.set(l, b);
-            let newly = self.note_decided(li, slot, ctx.shared);
-            if ctx.record {
-                self.rec_woken.push((g, newly));
-            }
-        }
-        for idx in 0..self.active.len() {
-            let l = self.active[idx];
-            let li = l as usize;
-            if self.behaviors.until(l) != Some(slot) {
-                continue;
-            }
-            let g = self.members[li];
-            let b = self.protocols[li].on_deadline(slot, &mut self.rngs[li]);
-            if let Some(fault) = self.protocols[li].take_breach() {
-                self.fail(ctx.shared, g, slot, fault);
-                return;
-            }
-            if let Err(fault) = b.validate_at(slot) {
-                self.fail(ctx.shared, g, slot, fault);
-                return;
-            }
-            self.behaviors.set(l, b);
-            let newly = self.note_decided(li, slot, ctx.shared);
-            if ctx.record {
-                self.rec_fired.push((g, newly));
-            }
-        }
+    /// Phase A: the kernel's wake-ups and deadline firings. Errors
+    /// stay on the kernel, where the termination evaluation sees them.
+    fn phase_wakes_deadlines(&mut self, slot: Slot) {
+        let _ = self.kernel.wake_phase(slot, &mut self.tape)
+            && self.kernel.deadline_phase(slot, &mut self.tape);
     }
 
     /// Phase B: Bernoulli transmission draws; local transmissions
-    /// scatter into the shard kernel, boundary transmissions into the
-    /// staging buffers, flushed to the mailboxes at the end.
+    /// scatter into the kernel's accumulator, boundary transmissions
+    /// into the staging buffers, flushed to the mailboxes at the end.
     fn phase_tx(&mut self, slot: Slot, ctx: &Ctx<'_, P>) {
-        if self.halted {
+        if !self
+            .kernel
+            .transmit_phase(slot, |_, p, rng| rng.gen_bool(p), &mut self.tape)
+        {
             return;
         }
-        self.kernel.begin_slot();
-        for idx in 0..self.active.len() {
-            let l = self.active[idx];
-            let li = l as usize;
-            let Some(p) = self.behaviors.tx_p(l) else {
-                continue;
-            };
-            if !self.rngs[li].gen_bool(p) {
-                continue;
-            }
-            let g = self.members[li];
-            let msg = self.protocols[li].message(slot, &mut self.rngs[li]);
-            if let Some(fault) = self.protocols[li].take_breach() {
-                self.fail(ctx.shared, g, slot, fault);
-                return;
-            }
-            self.stats[li].sent += 1;
-            if ctx.record {
-                self.rec_sent.push(g);
-            }
-            self.kernel.mark_transmitter(l);
-            for &u in ctx.graph.neighbors(g) {
-                let us = ctx.shard_of[u as usize] as usize;
-                if us == self.id {
-                    self.kernel.add(ctx.local_of[u as usize], g);
-                } else if ctx.wake[u as usize] <= slot {
-                    // Sleeping remote listeners receive nothing and
-                    // record no collisions; skipping them sheds
-                    // boundary traffic without changing any outcome.
-                    self.outgoing[us].push((u, g, msg.clone()));
+        let (id, outgoing) = (self.id, &mut self.outgoing);
+        self.kernel.scatter(
+            ctx.graph,
+            |u| ctx.local(id, u),
+            |u, g, msg| {
+                // Sleeping remote listeners receive nothing and record
+                // no collisions; skipping them sheds boundary traffic
+                // without changing any outcome.
+                if ctx.wake[u as usize] <= slot {
+                    outgoing[ctx.shard_of[u as usize] as usize].push((u, g, msg.clone()));
                 }
-            }
-            self.air[li] = Some(msg);
-        }
+            },
+        );
         for (dst, q) in self.outgoing.iter_mut().enumerate() {
             if !q.is_empty() {
                 ctx.mailbox[self.id][dst].lock().append(q);
@@ -364,118 +208,28 @@ impl<P: RadioProtocol> ShardState<P> {
     }
 
     /// Phase C: merge boundary deliveries (ascending source shard),
-    /// then let the channel decide every touched local listener — the
-    /// sequential driver's phase 4 restricted to this shard's members.
+    /// then the kernel's delivery sweep over the local listeners.
     fn phase_deliver(&mut self, slot: Slot, ctx: &Ctx<'_, P>) {
-        if self.halted {
-            return;
-        }
         for row in ctx.mailbox {
             let mut q = row[self.id].lock();
             for (u, t, msg) in q.drain(..) {
-                let lu = ctx.local_of[u as usize];
-                // Local contributions were added in phase B, so a
-                // first-contribution boundary add means the winner (if
-                // unique) is remote and this is its message.
-                if self.kernel.add(lu, t) {
-                    self.pending[lu as usize] = Some(msg);
-                }
+                self.kernel.inbound(ctx.local_of[u as usize], t, msg);
             }
         }
-        let touched = self.kernel.touched().len();
-        for ti in 0..touched {
-            let lu = self.kernel.touched()[ti];
-            let li = lu as usize;
-            if self.kernel.is_transmitter(lu) {
-                continue; // transmitting itself: cannot receive
-            }
-            let g = self.members[li];
-            if ctx.wake[g as usize] > slot {
-                continue; // still asleep
-            }
-            let c = self.kernel.contention(g, lu, slot);
-            match self.channel.decide(&c) {
-                Reception::Deliver(w) => {
-                    let msg = if ctx.shard_of[w as usize] as usize == self.id {
-                        self.air[ctx.local_of[w as usize] as usize].clone()
-                    } else {
-                        self.pending[li].take()
-                    };
-                    let Some(msg) = msg else {
-                        debug_assert!(false, "winner {w} has no message at listener {g}");
-                        continue;
-                    };
-                    self.stats[li].received += 1;
-                    let nb = self.protocols[li].on_receive(slot, &msg, &mut self.rngs[li]);
-                    if let Some(fault) = self.protocols[li].take_breach() {
-                        self.fail(ctx.shared, g, slot, fault);
-                        return;
-                    }
-                    let mut changed = false;
-                    if let Some(nb) = nb {
-                        if let Err(fault) = nb.validate_at(slot) {
-                            self.fail(ctx.shared, g, slot, fault);
-                            return;
-                        }
-                        self.behaviors.set(lu, nb);
-                        changed = true;
-                    }
-                    let newly = self.note_decided(li, slot, ctx.shared);
-                    if changed && !self.in_active[li] {
-                        self.in_active[li] = true;
-                        self.active.push(lu);
-                    }
-                    if ctx.record {
-                        self.rec_received.push((g, msg, newly));
-                    }
-                }
-                Reception::Collide => self.stats[li].collisions += 1,
-                Reception::Drop => {
-                    self.stats[li].drops += 1;
-                    log_fault(
-                        &mut self.faults,
-                        &mut self.faults_dropped,
-                        Event::Drop { node: g, slot },
-                    );
-                }
-                Reception::Jam => {
-                    self.stats[li].jams += 1;
-                    log_fault(
-                        &mut self.faults,
-                        &mut self.faults_dropped,
-                        Event::Jam { node: g, slot },
-                    );
-                }
-            }
-        }
-    }
-
-    /// End-of-slot compaction: drop retired nodes from the active set
-    /// (decided, permanently silent — removal cannot change outcomes).
-    fn compact(&mut self) {
-        if self.halted {
-            return;
-        }
-        let behaviors = &self.behaviors;
-        let decided = &self.decided;
-        let in_active = &mut self.in_active;
-        self.active.retain(|&l| {
-            let keep = !(decided.contains(l as usize) && behaviors.silent_forever(l));
-            in_active[l as usize] = keep;
-            keep
-        });
+        let id = self.id;
+        let local = |w| ctx.local(id, w);
+        self.kernel
+            .deliver_phase(slot, &mut self.channel, local, &mut self.tape);
     }
 }
 
 /// Global termination evaluation, run once per slot strictly between
-/// the delivery barrier and the slot-end release.
-fn evaluate(shared: &Shared, n: usize) {
-    if shared.aborted.load(Ordering::Relaxed) {
-        shared.stop.store(true, Ordering::Relaxed);
-    } else if shared.undecided.load(Ordering::Relaxed) == 0
-        && shared.woken.load(Ordering::Relaxed) == n
-    {
-        shared.all_decided.store(true, Ordering::Relaxed);
+/// the delivery barrier and the slot-end release, while every shard is
+/// parked: stop once a kernel hit a protocol error, or once every
+/// kernel's members all woke and decided.
+fn evaluate<P: RadioProtocol>(shared: &Shared, cells: &[Mutex<ShardState<P>>]) {
+    let done = cells.iter().all(|c| c.lock().kernel.undecided() == 0);
+    if done || cells.iter().any(|c| c.lock().kernel.error().is_some()) {
         shared.stop.store(true, Ordering::Relaxed);
     }
 }
@@ -493,12 +247,11 @@ fn worker_loop<P: RadioProtocol>(
     barrier: &SpinBarrier,
     monitored: bool,
 ) {
-    let n = ctx.wake.len();
     let mut slot: Slot = 0;
     while slot <= max_slots {
         {
             let mut s = cells[i].lock();
-            s.phase_wakes_deadlines(slot, ctx);
+            s.phase_wakes_deadlines(slot);
             if !monitored {
                 s.phase_tx(slot, ctx);
             }
@@ -515,111 +268,50 @@ fn worker_loop<P: RadioProtocol>(
         } else {
             barrier.wait(|| {});
             cells[i].lock().phase_deliver(slot, ctx);
-            barrier.wait(|| evaluate(ctx.shared, n));
+            barrier.wait(|| evaluate(ctx.shared, cells));
         }
         if ctx.shared.stop.load(Ordering::Relaxed) {
             break;
         }
-        cells[i].lock().compact();
+        cells[i].lock().kernel.compact();
         slot += 1;
     }
 }
 
-/// Locks every shard cell for a main-thread replay window. The workers
-/// are parked between two barriers while these guards are held, so the
-/// locks never contend.
-fn lock_all<'a, P: RadioProtocol>(
-    cells: &'a [Mutex<ShardState<P>>],
-) -> Vec<MutexGuard<'a, ShardState<P>>> {
-    cells.iter().map(|c| c.lock()).collect()
-}
-
-/// Replays phase A hooks in the sequential driver's order: all
-/// wake-ups (ascending node id — exactly the sequential tie-break),
-/// then all deadline firings.
-fn replay_phase_a<P: RadioProtocol, M: InvariantMonitor<P>>(
+/// Replays the hooks every shard recorded since the last window, in the
+/// sequential driver's order: hook class first (wake-ups before
+/// deadlines), then ascending node id — exactly the sequential
+/// wake-order tie-break. Runs on the main thread while the workers are
+/// parked between two barriers, so the locks never contend.
+fn replay<P: RadioProtocol, M: InvariantMonitor<P>>(
     monitor: &mut M,
     slot: Slot,
-    guards: &mut [MutexGuard<'_, ShardState<P>>],
+    cells: &[Mutex<ShardState<P>>],
     ctx: &Ctx<'_, P>,
 ) {
-    let mut woken: Vec<(NodeId, bool)> = Vec::new();
-    let mut fired: Vec<(NodeId, bool)> = Vec::new();
+    let mut guards: Vec<_> = cells.iter().map(|c| c.lock()).collect();
+    let mut rows = Vec::new();
     for s in guards.iter_mut() {
-        woken.append(&mut s.rec_woken);
-        fired.append(&mut s.rec_fired);
+        rows.append(&mut s.tape.rows);
     }
-    woken.sort_unstable_by_key(|&(g, _)| g);
-    fired.sort_unstable_by_key(|&(g, _)| g);
-    for (g, newly) in woken {
-        let (s, l) = (
-            ctx.shard_of[g as usize] as usize,
-            ctx.local_of[g as usize] as usize,
-        );
-        monitor.after_wake(g, slot, &guards[s].protocols[l]);
-        if newly {
-            monitor.on_decided(g, slot, &guards[s].protocols[l]);
+    let rank = |h: &Hook<P::Message>| match h {
+        Hook::Wake => 0,
+        Hook::Deadline => 1,
+        Hook::Transmit(_) => 2,
+        Hook::Receive(_) => 3,
+    };
+    rows.sort_by_key(|(h, g, _)| (rank(h), *g));
+    for (hook, g, newly) in &rows {
+        let shard = &guards[ctx.shard_of[*g as usize] as usize];
+        let p = &shard.kernel.protocols[ctx.local_of[*g as usize] as usize];
+        match hook {
+            Hook::Wake => monitor.after_wake(*g, slot, p),
+            Hook::Deadline => monitor.after_deadline(*g, slot, p),
+            Hook::Transmit(msg) => monitor.on_transmit(*g, slot, msg, p),
+            Hook::Receive(msg) => monitor.after_receive(*g, slot, msg, p),
         }
-    }
-    for (g, newly) in fired {
-        let (s, l) = (
-            ctx.shard_of[g as usize] as usize,
-            ctx.local_of[g as usize] as usize,
-        );
-        monitor.after_deadline(g, slot, &guards[s].protocols[l]);
-        if newly {
-            monitor.on_decided(g, slot, &guards[s].protocols[l]);
-        }
-    }
-}
-
-/// Replays `on_transmit` for every transmitter, ascending node id.
-fn replay_phase_tx<P: RadioProtocol, M: InvariantMonitor<P>>(
-    monitor: &mut M,
-    slot: Slot,
-    guards: &mut [MutexGuard<'_, ShardState<P>>],
-    ctx: &Ctx<'_, P>,
-) {
-    let mut sent: Vec<NodeId> = Vec::new();
-    for s in guards.iter_mut() {
-        sent.append(&mut s.rec_sent);
-    }
-    sent.sort_unstable();
-    for g in sent {
-        let (s, l) = (
-            ctx.shard_of[g as usize] as usize,
-            ctx.local_of[g as usize] as usize,
-        );
-        let cell = &guards[s];
-        let Some(msg) = cell.air[l].as_ref() else {
-            debug_assert!(false, "transmitter {g} has no message");
-            continue;
-        };
-        monitor.on_transmit(g, slot, msg, &cell.protocols[l]);
-    }
-}
-
-/// Replays `after_receive` (+ `on_decided`) for every delivered
-/// listener, ascending node id.
-fn replay_phase_deliver<P: RadioProtocol, M: InvariantMonitor<P>>(
-    monitor: &mut M,
-    slot: Slot,
-    guards: &mut [MutexGuard<'_, ShardState<P>>],
-    ctx: &Ctx<'_, P>,
-) {
-    let mut recv: Vec<(NodeId, P::Message, bool)> = Vec::new();
-    for s in guards.iter_mut() {
-        recv.append(&mut s.rec_received);
-    }
-    recv.sort_by_key(|r| r.0);
-    for (g, msg, newly) in &recv {
-        let (s, l) = (
-            ctx.shard_of[*g as usize] as usize,
-            ctx.local_of[*g as usize] as usize,
-        );
-        monitor.after_receive(*g, slot, msg, &guards[s].protocols[l]);
         if *newly {
-            monitor.on_decided(*g, slot, &guards[s].protocols[l]);
+            monitor.on_decided(*g, slot, p);
         }
     }
 }
@@ -677,70 +369,33 @@ where
     }
 
     // Distribute the protocols to their shards without cloning.
+    let monitored = !monitor.is_null();
     let mut pool: Vec<Option<P>> = protocols.into_iter().map(Some).collect();
     let cells: Vec<Mutex<ShardState<P>>> = partition
         .members
         .iter()
         .enumerate()
         .map(|(id, members)| {
-            let protos: Vec<P> = members
-                .iter()
-                .filter_map(|&g| pool[g as usize].take())
-                .collect();
-            assert_eq!(
-                protos.len(),
-                members.len(),
-                "partition covers each node once"
-            );
-            let m = members.len();
-            let mut wake_order: Vec<u32> = (0..m as u32).collect();
-            wake_order.sort_by_key(|&l| wake[members[l as usize] as usize]);
+            let protos = members.iter().filter_map(|&g| pool[g as usize].take());
             Mutex::new(ShardState {
                 id,
-                members: members.clone(),
-                protocols: protos,
-                rngs: members.iter().map(|&g| node_rng(seed, g)).collect(),
-                behaviors: BehaviorTable::new(m),
-                stats: members
-                    .iter()
-                    .map(|&g| NodeStats {
-                        wake: wake[g as usize],
-                        ..NodeStats::default()
-                    })
-                    .collect(),
-                decided: BitSet::new(m),
+                kernel: SlotKernel::new(members.clone(), protos.collect(), wake, seed),
                 channel: cfg.channel.build(n, seed),
-                kernel: ShardKernel::new(m),
-                air: std::iter::repeat_with(|| None).take(m).collect(),
-                pending: std::iter::repeat_with(|| None).take(m).collect(),
-                wake_order,
-                next_wake: 0,
-                active: Vec::with_capacity(m),
-                in_active: vec![false; m],
                 outgoing: (0..k).map(|_| Vec::new()).collect(),
-                faults: Vec::new(),
-                faults_dropped: 0,
-                rec_woken: Vec::new(),
-                rec_fired: Vec::new(),
-                rec_sent: Vec::new(),
-                rec_received: Vec::new(),
-                halted: false,
+                tape: Tape {
+                    on: monitored,
+                    rows: Vec::new(),
+                },
             })
         })
         .collect();
 
     let shared = Shared {
-        undecided: AtomicUsize::new(n),
-        woken: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
-        all_decided: AtomicBool::new(false),
-        aborted: AtomicBool::new(false),
-        error: Mutex::new(None),
     };
     let mailbox: Vec<Vec<Mutex<Vec<Delivery<P>>>>> = (0..k)
         .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
         .collect();
-    let monitored = !monitor.is_null();
     let ctx = Ctx {
         graph,
         wake,
@@ -748,7 +403,6 @@ where
         local_of: &local_of,
         shared: &shared,
         mailbox: &mailbox,
-        record: monitored,
     };
     let barrier = SpinBarrier::new(k);
 
@@ -765,42 +419,33 @@ where
             slots_run = slot;
             {
                 let mut s = cells[0].lock();
-                s.phase_wakes_deadlines(slot, &ctx);
+                s.phase_wakes_deadlines(slot);
                 if !monitored {
                     s.phase_tx(slot, &ctx);
                 }
             }
             if monitored {
                 barrier.wait(|| {});
-                {
-                    let mut guards = lock_all(&cells);
-                    replay_phase_a(monitor, slot, &mut guards, &ctx);
-                }
+                replay(monitor, slot, &cells, &ctx);
                 barrier.wait(|| {});
                 cells[0].lock().phase_tx(slot, &ctx);
                 barrier.wait(|| {});
-                {
-                    let mut guards = lock_all(&cells);
-                    replay_phase_tx(monitor, slot, &mut guards, &ctx);
-                }
+                replay(monitor, slot, &cells, &ctx);
                 barrier.wait(|| {});
                 cells[0].lock().phase_deliver(slot, &ctx);
                 barrier.wait(|| {});
-                {
-                    let mut guards = lock_all(&cells);
-                    replay_phase_deliver(monitor, slot, &mut guards, &ctx);
-                    evaluate(&shared, n);
-                }
+                replay(monitor, slot, &cells, &ctx);
+                evaluate(&shared, &cells);
                 barrier.wait(|| {});
             } else {
                 barrier.wait(|| {});
                 cells[0].lock().phase_deliver(slot, &ctx);
-                barrier.wait(|| evaluate(&shared, n));
+                barrier.wait(|| evaluate(&shared, &cells));
             }
             if shared.stop.load(Ordering::Relaxed) {
                 break;
             }
-            cells[0].lock().compact();
+            cells[0].lock().kernel.compact();
             slot += 1;
         }
     });
@@ -809,14 +454,31 @@ where
     // epilogue (canonical fault sort, violation collection).
     let mut faults: Vec<Event> = Vec::new();
     let mut faults_dropped: u64 = 0;
+    let mut errors = Vec::new();
+    let mut undecided = 0;
     let mut rows: Vec<(NodeId, P, NodeStats)> = Vec::with_capacity(n);
     for cell in cells {
-        let s = cell.into_inner();
-        faults_dropped += s.faults_dropped;
-        faults.extend(s.faults);
-        for ((g, p), st) in s.members.into_iter().zip(s.protocols).zip(s.stats) {
-            rows.push((g, p, st));
-        }
+        let kernel = cell.into_inner().kernel;
+        undecided += kernel.undecided();
+        let SlotKernel {
+            members,
+            protocols,
+            stats,
+            faults: f,
+            faults_dropped: d,
+            error,
+            ..
+        } = kernel;
+        faults_dropped += d;
+        faults.extend(f);
+        errors.extend(error);
+        rows.extend(
+            members
+                .into_iter()
+                .zip(protocols)
+                .zip(stats)
+                .map(|((g, p), st)| (g, p, st)),
+        );
     }
     rows.sort_by_key(|r| r.0);
     faults.sort_by_key(|e| (e.slot(), e.node()));
@@ -825,13 +487,13 @@ where
         faults.truncate(MAX_FAULT_LOG);
     }
     let violations = collect_violations::<P, M>(monitor, &mut faults, &mut faults_dropped);
-    let error = shared.error.into_inner();
+    let error = errors.into_iter().min_by_key(|e| (e.slot, e.node));
     let (protocols, stats): (Vec<P>, Vec<NodeStats>) =
         rows.into_iter().map(|(_, p, st)| (p, st)).unzip();
     SimOutcome {
         protocols,
         stats,
-        all_decided: shared.all_decided.load(Ordering::Relaxed) && error.is_none(),
+        all_decided: undecided == 0 && error.is_none(),
         slots_run,
         error,
         faults,
@@ -848,7 +510,8 @@ mod tests {
     use crate::monitor::{EngineOrderMonitor, NullMonitor};
     use crate::protocol::Behavior;
     use radio_graph::generators::gnp;
-    use rand::{Rng, SeedableRng};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     /// Exercises every phase: random-length transmit/silent segments
     /// switched by deadlines, receive-driven behavior changes, decision

@@ -13,7 +13,11 @@
 //! Protocols implement [`protocol::RadioProtocol`] and run under the
 //! lock-step reference engine, the event-driven fast engine, or the
 //! slot-parallel sharded driver; all implement identical semantics
-//! (cross-validated in tests and in experiment E14).
+//! (cross-validated in tests and in experiment E14). The intra-slot
+//! rule is written once, in the slot kernel
+//! ([`engine::kernel::SlotKernel`]), which the lock-step engine, every
+//! shard of the sharded driver and the model checker's stepper run,
+//! and whose per-node hooks the other engines call.
 //!
 //! # Example: a minimal protocol
 //!
@@ -67,6 +71,7 @@ pub use delivery::{DeliveryKernel, OverlapKernel};
 pub use engine::driver::{Completion, Engine, SimDriver};
 pub use engine::event::EventSkip;
 pub use engine::jittered::{random_phases, Jittered};
+pub use engine::kernel::SlotKernel;
 pub use engine::lockstep::Lockstep;
 pub use engine::sharded::run_sharded;
 pub use engine::{ExecutedEngine, NodeStats, SimConfig, SimOutcome, MAX_FAULT_LOG};

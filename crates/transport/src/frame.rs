@@ -1,7 +1,7 @@
 //! Length-prefixed wire frames and the payload codec.
 //!
-//! Every byte stream in this crate (the TCP slot protocol, the `colord`
-//! client protocol) is a sequence of *frames*: a little-endian `u32`
+//! Every byte stream built on this crate (the `colord` client
+//! protocol) is a sequence of *frames*: a little-endian `u32`
 //! length followed by that many payload bytes. Payloads are built and
 //! parsed with [`FramePayload`] / [`FrameReader`] — fixed-width
 //! little-endian scalars plus length-prefixed byte strings, no
@@ -10,9 +10,9 @@
 
 use std::io::{self, Read, Write};
 
-/// Hard cap on a single frame's payload size. Nothing in the slot
-/// protocol or the `colord` wire comes near 1 MiB; anything larger is a
-/// corrupt or hostile stream and is rejected before allocation.
+/// Hard cap on a single frame's payload size. Nothing on the `colord`
+/// wire comes near 1 MiB; anything larger is a corrupt or hostile
+/// stream and is rejected before allocation.
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// Writes one length-prefixed frame.

@@ -14,28 +14,26 @@
 //!   shared slot clock, exactly the paper's collision rule — and
 //!   bit-identical to the simulator's lock-step engine for the same
 //!   `(graph, wake, seed)` (pinned by `tests/transport_equivalence.rs`
-//!   at the workspace root);
-//! * a real network: the [`tcp`] medium serializes the same slot
-//!   protocol over `std::net` TCP with length-prefixed [`frame`]s and
-//!   one thread per connection.
+//!   at the workspace root).
 //!
 //! Layering: this crate sits *below* `radio-sim` (it depends only on
 //! `radio-graph` and the vendored `rand`), so the simulator, the
 //! algorithm crate and the `colord` service can all share one
-//! definition of slots, behaviors, contention and wire framing.
+//! definition of slots, behaviors, contention, wire framing and the
+//! [`SpinBarrier`] their slot-parallel loops synchronize on.
 
+pub mod barrier;
 pub mod frame;
 pub mod loopback;
 pub mod medium;
 pub mod protocol;
 pub mod pump;
 pub mod rng;
-pub mod tcp;
 
+pub use barrier::SpinBarrier;
 pub use frame::{read_frame, write_frame, FrameError, FramePayload, FrameReader, WireMessage};
 pub use loopback::{run_loopback, LoopbackEndpoint, LoopbackHub, LoopbackOutcome};
 pub use medium::{Contention, Reception};
 pub use protocol::{Behavior, BehaviorFault, ProtocolError, RadioProtocol, Slot};
 pub use pump::{pump_node, NodeReport, PumpError, Transport};
 pub use rng::node_rng;
-pub use tcp::{TcpEndpoint, TcpHub};

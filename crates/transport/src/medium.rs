@@ -5,8 +5,8 @@
 //! transmits in the slot — no collision detection, no fading. A driver
 //! observes each listener's slot as a [`Contention`] and maps it to a
 //! [`Reception`]; the simulator's pluggable channel models live on top
-//! of this vocabulary in `radio-sim::channel`, while the loopback and
-//! TCP media apply the ideal rule ([`Contention::ideal`]) directly.
+//! of this vocabulary in `radio-sim::channel`, while the loopback
+//! medium applies the ideal rule ([`Contention::ideal`]) directly.
 
 use crate::protocol::Slot;
 use radio_graph::NodeId;

@@ -1,6 +1,6 @@
 //! The protocol interface between per-node state machines and the
 //! media that drive them (simulation engines, the loopback medium, the
-//! TCP transport).
+//! `colord` service).
 //!
 //! A protocol describes a node's externally visible behavior as a
 //! sequence of [`Behavior`] segments: during a segment the node either

@@ -40,8 +40,8 @@ use std::fmt;
 /// media must treat a dropped endpoint as permanently silent and
 /// decided rather than deadlocking the surviving nodes.
 pub trait Transport {
-    /// Medium-specific failure type (I/O errors for TCP, infallible for
-    /// the in-process loopback medium).
+    /// Medium-specific failure type (I/O errors for a networked
+    /// medium, infallible for the in-process loopback medium).
     type Error: fmt::Debug;
 
     /// Blocks until the shared clock reaches the next slot. `None`

@@ -244,3 +244,67 @@ fn engines_reject_stale_deadlines() {
     );
     assert_eq!(out.error.map(|e| e.fault), Some(err.fault));
 }
+
+/// The first protocol error stops every engine in the slot it is
+/// raised, and no later failure replaces it. Edges {0–2, 1–3}, all
+/// awake at slot 0: node 0 breaches the contract in its first
+/// `message` (slot 0), node 1 returns `p = 2.0` at its slot-3
+/// deadline. Every engine must report node 0's breach.
+#[test]
+fn first_error_wins_on_every_engine() {
+    struct Probe {
+        id: u32,
+        breach: Option<BehaviorFault>,
+    }
+    impl RadioProtocol for Probe {
+        type Message = ();
+        fn on_wake(&mut self, now: Slot, _r: &mut SmallRng) -> Behavior {
+            match self.id {
+                0 => Behavior::Transmit {
+                    p: 1.0,
+                    until: None,
+                },
+                1 => Behavior::Silent {
+                    until: Some(now + 3),
+                },
+                _ => Behavior::Silent { until: None },
+            }
+        }
+        fn on_deadline(&mut self, _n: Slot, _r: &mut SmallRng) -> Behavior {
+            Behavior::Transmit {
+                p: 2.0,
+                until: None,
+            }
+        }
+        fn message(&mut self, _n: Slot, _r: &mut SmallRng) {
+            self.breach = Some(BehaviorFault::ContractBreach {
+                context: "probe: message breach",
+            });
+        }
+        fn on_receive(&mut self, _n: Slot, _m: &(), _r: &mut SmallRng) -> Option<Behavior> {
+            None
+        }
+        fn is_decided(&self) -> bool {
+            false
+        }
+        fn take_breach(&mut self) -> Option<BehaviorFault> {
+            self.breach.take()
+        }
+    }
+    let g = Graph::from_edges(4, [(0, 2), (1, 3)]);
+    let cfg = SimConfig::with_max_slots(100).with_shards(2);
+    for engine in EngineKind::ALL {
+        let protos = (0..4).map(|id| Probe { id, breach: None }).collect();
+        let out = engine.run(&g, &[0; 4], protos, 5, &cfg);
+        let err = out.error.unwrap_or_else(|| panic!("{engine:?}: no error"));
+        assert_eq!((err.node, err.slot), (0, 0), "{engine:?}: {err}");
+        assert_eq!(
+            err.fault,
+            BehaviorFault::ContractBreach {
+                context: "probe: message breach"
+            },
+            "{engine:?}"
+        );
+        assert!(!out.all_decided, "{engine:?}");
+    }
+}
