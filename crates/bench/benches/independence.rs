@@ -4,6 +4,8 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use radio_bench::workloads::udg_workload;
 use radio_graph::analysis::independence::{kappa_bounded, kappa_greedy, max_independent_set_size};
+use radio_graph::generators::{build_udg, grid_jitter};
+use radio_sim::rng::node_rng;
 
 fn bench_kappa(c: &mut Criterion) {
     let mut g = c.benchmark_group("kappa");
@@ -23,6 +25,19 @@ fn bench_kappa(c: &mut Criterion) {
                 b.iter(|| kappa_greedy(black_box(graph)));
             },
         );
+    }
+    // Dense neighborhoods, where the clique-cover bound does the
+    // pruning: the repository benchmark's jittered grid (n = 2048,
+    // Δ = 21) and E02's densest UDG (Δ* ≈ 32).
+    let grid = build_udg(
+        &grid_jitter(64, 32, 0.44, 0.15, &mut node_rng(1, 0xF00D)),
+        1.0,
+    );
+    let e02 = udg_workload(256, 32.0, 0xE6).graph;
+    for (name, graph) in [("grid_jitter_64x32", grid), ("e02_n256_d32", e02)] {
+        g.bench_with_input(BenchmarkId::new("exact", name), &graph, |b, graph| {
+            b.iter(|| kappa_bounded(black_box(graph), u64::MAX));
+        });
     }
     g.finish();
 }

@@ -1,10 +1,27 @@
-//! A small fixed-capacity bitset used by the exact independence solver.
+//! A small fixed-capacity bitset used by the exact independence solver
+//! and the simulator's slot kernel.
 
 /// A bitset over `0..capacity` backed by `u64` words.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+            capacity: self.capacity,
+        }
+    }
+
+    /// Reuses `self`'s allocation, so a scratch set can be refilled
+    /// without allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.capacity = source.capacity;
+    }
 }
 
 impl BitSet {
@@ -67,6 +84,13 @@ impl BitSet {
     pub fn subtract_words(&mut self, other: &[u64]) {
         for (w, o) in self.words.iter_mut().zip(other.iter()) {
             *w &= !o;
+        }
+    }
+
+    /// Keeps only the elements of `other` (intersection, in place).
+    pub fn intersect_words(&mut self, other: &[u64]) {
+        for (w, o) in self.words.iter_mut().zip(other.iter()) {
+            *w &= o;
         }
     }
 
@@ -142,6 +166,19 @@ mod tests {
         s.subtract_words(mask.words());
         assert_eq!(s.len(), 35);
         assert!(s.iter().all(|i| i % 2 == 1));
+    }
+
+    #[test]
+    fn intersect_and_clone_from() {
+        let mut a = BitSet::full(70);
+        let mut b = BitSet::new(70);
+        b.insert(3);
+        b.insert(69);
+        a.intersect_words(b.words());
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![3, 69]);
+        let mut c = BitSet::full(130);
+        c.clone_from(&a);
+        assert_eq!(c, a);
     }
 
     #[test]

@@ -160,20 +160,6 @@ impl Graph {
         }
         (b.build(), nodes.to_vec())
     }
-
-    /// Adjacency-matrix bitset rows for the nodes of a *small* graph
-    /// (used by the exact independence solver). Row `v` has bit `u` set iff
-    /// `{u, v} ∈ E`. Panics if `n > 64 * usize::MAX` (practically never).
-    pub fn adjacency_bitsets(&self) -> Vec<Vec<u64>> {
-        let n = self.len();
-        let words = n.div_ceil(64);
-        let mut rows = vec![vec![0u64; words]; n];
-        for (u, v) in self.edges() {
-            rows[u as usize][v as usize / 64] |= 1 << (v % 64);
-            rows[v as usize][u as usize / 64] |= 1 << (u % 64);
-        }
-        rows
-    }
 }
 
 impl fmt::Debug for Graph {
@@ -346,17 +332,5 @@ mod tests {
         assert!(sub.has_edge(0, 1));
         assert!(sub.has_edge(0, 2));
         assert!(!sub.has_edge(1, 2));
-    }
-
-    #[test]
-    fn adjacency_bitsets_roundtrip() {
-        let g = triangle_plus_pendant();
-        let rows = g.adjacency_bitsets();
-        for u in g.nodes() {
-            for v in g.nodes() {
-                let bit = rows[u as usize][v as usize / 64] >> (v % 64) & 1;
-                assert_eq!(bit == 1, g.has_edge(u, v), "u={u} v={v}");
-            }
-        }
     }
 }

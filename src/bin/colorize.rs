@@ -15,7 +15,7 @@
 //! Output: a CSV of `node,color,leader,decided_slot` on stdout plus
 //! optional SVG/DOT renderings. Exit code 1 on failure to color.
 
-use radio_graph::analysis::independence::{kappa_bounded, kappa_greedy};
+use radio_graph::analysis::independence::{kappa_bounded, kappa_greedy, Kappa};
 use radio_graph::generators::build_udg;
 use radio_graph::geometry::Point2;
 use radio_graph::io::{to_dot, to_svg};
@@ -140,6 +140,13 @@ fn parse_edges(text: &str, n_override: Option<usize>) -> Result<Graph, String> {
     Ok(b.build())
 }
 
+/// `κ₁=…, κ₂=…`, each value marked `+` when it is only the greedy lower
+/// bound, as the experiment tables mark an inexact κ.
+fn kappa_text(k: Kappa, exact: bool) -> String {
+    let mark = if exact { "" } else { "+" };
+    format!("κ₁={}{mark}, κ₂={}{mark}", k.k1, k.k2)
+}
+
 fn main() {
     let args = match parse_args() {
         Ok(a) => a,
@@ -173,19 +180,24 @@ fn main() {
     };
 
     let n = graph.len();
-    let kappa = kappa_bounded(&graph, 5_000_000).unwrap_or_else(|| kappa_greedy(&graph));
+    let (kappa, exact) = match kappa_bounded(&graph, 5_000_000) {
+        Some(k) => (k, true),
+        None => (kappa_greedy(&graph), false),
+    };
     let params =
         AlgorithmParams::practical(kappa.k2.max(2), graph.max_closed_degree().max(2), n.max(16))
             .scaled(args.scale);
     eprintln!(
-        "n={n}, links={}, Δ={}, κ₁={}, κ₂={}; waiting {} slots, threshold {}",
+        "n={n}, links={}, Δ={}, {}; waiting {} slots, threshold {}",
         graph.num_edges(),
         graph.max_closed_degree(),
-        kappa.k1,
-        kappa.k2,
+        kappa_text(kappa, exact),
         params.waiting_slots(),
         params.threshold()
     );
+    if !exact {
+        eprintln!("note: the exact κ solver ran out of fuel; κ marked + is a greedy lower bound");
+    }
 
     let mut rng = node_rng(args.seed, 0);
     let wake = match args.wake.as_str() {
@@ -279,6 +291,13 @@ mod tests {
         let g = parse_edges("0 1\n1 2\n# comment\n\n2 3\n", None).unwrap();
         assert_eq!(g.len(), 4);
         assert_eq!(g.num_edges(), 3);
+    }
+
+    #[test]
+    fn kappa_text_marks_greedy_fallback() {
+        let k = Kappa { k1: 4, k2: 11 };
+        assert_eq!(kappa_text(k, true), "κ₁=4, κ₂=11");
+        assert_eq!(kappa_text(k, false), "κ₁=4+, κ₂=11+");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use radio_graph::analysis::independence::{
-    is_independent_set, kappa, kappa_greedy, max_independent_set_size,
+    is_independent_set, kappa, kappa_greedy, max_independent_set_size, Kappa,
 };
 use radio_graph::analysis::{check_coloring, connected_components};
 use radio_graph::generators::big::random_walls;
@@ -13,14 +13,60 @@ use radio_graph::{Graph, NodeId};
 use radio_sim::rng::node_rng;
 
 fn arb_points(max_n: usize) -> impl Strategy<Value = Vec<Point2>> {
+    arb_points_in(6.0, max_n)
+}
+
+/// Up to `max_n − 1` points in a `side × side` square.
+fn arb_points_in(side: f64, max_n: usize) -> impl Strategy<Value = Vec<Point2>> {
     prop::collection::vec(
-        (0.0..6.0f64, 0.0..6.0f64).prop_map(|(x, y)| Point2::new(x, y)),
+        (0.0..side, 0.0..side).prop_map(|(x, y)| Point2::new(x, y)),
         1..max_n,
     )
 }
 
 fn arb_edges(n: usize) -> impl Strategy<Value = Vec<(NodeId, NodeId)>> {
     prop::collection::vec((0..n as NodeId, 0..n as NodeId), 0..(n * 2))
+}
+
+/// Neighbor masks of a graph with at most 32 nodes.
+fn adjacency_masks(g: &Graph) -> Vec<u32> {
+    assert!(g.len() <= 32);
+    g.nodes()
+        .map(|v| g.neighbors(v).iter().fold(0, |m, &u| m | 1 << u))
+        .collect()
+}
+
+/// Brute-force oracle: the largest independent subset of the node mask
+/// `within`, found by enumerating every one of its subsets.
+fn brute_force_mis(adj: &[u32], within: u32) -> usize {
+    let mut best = 0;
+    let mut sub = within;
+    loop {
+        let size = sub.count_ones() as usize;
+        if size > best && (0..adj.len()).all(|v| sub >> v & 1 == 0 || adj[v] & sub == 0) {
+            best = size;
+        }
+        if sub == 0 {
+            return best;
+        }
+        sub = (sub - 1) & within;
+    }
+}
+
+/// Brute-force κ₁/κ₂: the oracle over every closed 1-hop and 2-hop
+/// neighborhood.
+fn brute_force_kappa(g: &Graph) -> Kappa {
+    let adj = adjacency_masks(g);
+    let closed: Vec<u32> = g.nodes().map(|v| adj[v as usize] | 1 << v).collect();
+    let mut k = Kappa { k1: 0, k2: 0 };
+    for v in 0..g.len() {
+        let two = (0..g.len())
+            .filter(|&u| closed[v] >> u & 1 == 1)
+            .fold(0, |m, u| m | closed[u]);
+        k.k1 = k.k1.max(brute_force_mis(&adj, closed[v]));
+        k.k2 = k.k2.max(brute_force_mis(&adj, two));
+    }
+    k
 }
 
 proptest! {
@@ -98,19 +144,6 @@ proptest! {
     }
 
     #[test]
-    fn exact_mis_beats_greedy_and_is_independent(edges in arb_edges(14)) {
-        let g = Graph::from_edges(14, edges);
-        let exact = max_independent_set_size(&g);
-        // Any independent set found greedily is a witness lower bound.
-        let order: Vec<NodeId> = g.nodes().collect();
-        let witness = radio_graph::analysis::independence::greedy_independent_set(&g, &order);
-        prop_assert!(is_independent_set(&g, &witness));
-        prop_assert!(witness.len() <= exact);
-        // MIS of a graph with m edges is ≥ n − m (each edge kills ≤ 1).
-        prop_assert!(exact + g.num_edges() >= g.len());
-    }
-
-    #[test]
     fn components_partition_nodes(edges in arb_edges(16)) {
         let g = Graph::from_edges(16, edges);
         let c = connected_components(&g);
@@ -141,6 +174,40 @@ proptest! {
         let manual_proper = g.edges().all(|(u, v)| colors[u as usize] != colors[v as usize]);
         prop_assert_eq!(report.proper, manual_proper);
         prop_assert!(report.complete);
+    }
+}
+
+// The exact solver against brute force. Bugs in its prunes show only on
+// the few small graphs where the greedy warm start is not optimal, so
+// these run many more cases than the block above.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    #[test]
+    fn exact_mis_beats_greedy_and_is_independent(
+        edges in arb_edges(14),
+        points in arb_points_in(3.0, 15),
+    ) {
+        // Random graphs, and dense UDGs: the clique-cover bound's target.
+        for g in [Graph::from_edges(14, edges), build_udg(&points, 1.0)] {
+            let exact = max_independent_set_size(&g);
+            // Any independent set found greedily is a witness lower bound.
+            let order: Vec<NodeId> = g.nodes().collect();
+            let witness = radio_graph::analysis::independence::greedy_independent_set(&g, &order);
+            prop_assert!(is_independent_set(&g, &witness));
+            prop_assert!(witness.len() <= exact);
+            // MIS of a graph with m edges is ≥ n − m (each edge kills ≤ 1).
+            prop_assert!(exact + g.num_edges() >= g.len());
+            let all = (1u32 << g.len()) - 1;
+            prop_assert_eq!(exact, brute_force_mis(&adjacency_masks(&g), all));
+        }
+    }
+
+    #[test]
+    fn kappa_matches_brute_force(edges in arb_edges(14), points in arb_points_in(3.0, 15)) {
+        for g in [Graph::from_edges(14, edges), build_udg(&points, 1.0)] {
+            prop_assert_eq!(kappa(&g), brute_force_kappa(&g));
+        }
     }
 }
 
