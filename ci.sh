@@ -72,13 +72,14 @@ record_tsan() {
 }
 
 # Best-effort ThreadSanitizer leg over the cross-engine identity suite
-# (crates/sim/tests/driver_identity.rs) — the test that drives the
-# lockstep and sharded engines against each other, i.e. the one whose
-# threads TSan can actually race. Needs a nightly toolchain with the
-# rust-src component (-Zbuild-std must rebuild std with the sanitizer)
-# and ≥4 host threads for the sharded engine to spawn workers; when a
-# prerequisite is missing the leg records "skipped: <reason>" instead
-# of failing, so the default gate stays green on stable-only hosts.
+# (tests/driver_identity.rs, a test of the root package) — the test
+# that drives the lockstep and sharded engines against each other, i.e.
+# the one whose threads TSan can actually race. Needs a nightly
+# toolchain with the rust-src component (-Zbuild-std must rebuild std
+# with the sanitizer) and ≥4 host threads for the sharded engine to
+# spawn workers; when a prerequisite is missing the leg records
+# "skipped: <reason>" instead of failing, so the default gate stays
+# green on stable-only hosts.
 run_tsan() {
     echo "==> ThreadSanitizer leg (driver_identity)"
     local status host
@@ -93,7 +94,7 @@ run_tsan() {
         host="$(rustc -vV | sed -n 's/^host: //p')"
         if RUSTFLAGS="-Zsanitizer=thread" \
             cargo +nightly test -q -Zbuild-std --target "$host" \
-            -p radio-sim --test driver_identity; then
+            -p unstructured-radio-coloring --test driver_identity; then
             status="pass"
         else
             status="fail"

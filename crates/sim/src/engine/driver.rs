@@ -54,7 +54,6 @@ use crate::monitor::InvariantMonitor;
 use crate::protocol::{Behavior, RadioProtocol, Slot};
 use radio_graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// What an [`Engine::drive`] implementation reports back to
 /// [`SimDriver::run`] when the slot-advance loop ends.
@@ -219,13 +218,12 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
 
     /// One Bernoulli transmission draw for node `v`'s current segment:
     /// `true` iff `v` is in a `Transmit { p, .. }` segment and the draw
-    /// with probability `p` succeeds. Draws nothing for silent nodes.
+    /// with probability `p` succeeds — the lock-step kernel's own draw,
+    /// against the segment's stored threshold. Draws nothing for silent
+    /// nodes.
     #[inline]
     pub fn bernoulli_tx(&mut self, v: NodeId) -> bool {
-        match self.kernel.tx_p(v) {
-            Some(p) => self.kernel.rngs[v as usize].gen_bool(p),
-            None => false,
-        }
+        self.kernel.draw_tx(v)
     }
 
     /// Builds node `v`'s message for `slot` and fires the transmit-side

@@ -31,6 +31,29 @@ use crate::trace::Event;
 use radio_graph::bitset::BitSet;
 use radio_graph::{Graph, NodeId};
 use rand::rngs::SmallRng;
+use rand::RngCore;
+
+/// The integer form of a Bernoulli(`p`) draw, computed once per
+/// installed segment: `(p·2⁶⁴) as u64`, the bound `gen_bool(p)`
+/// compares 64 random bits against, and `u64::MAX` for `p = 1`, which
+/// draws nothing. No `p < 1` maps to `u64::MAX`: the largest,
+/// `1 − 2⁻⁵³`, maps to `2⁶⁴ − 2¹¹`.
+#[inline]
+fn threshold(p: f64) -> u64 {
+    if p >= 1.0 {
+        u64::MAX
+    } else {
+        (p * (u64::MAX as f64 + 1.0)) as u64
+    }
+}
+
+/// One Bernoulli draw against a [`threshold`]: the same bits and the
+/// same answer as `rng.gen_bool(p)`, without its per-call range check
+/// and float conversion.
+#[inline]
+pub(crate) fn bernoulli(threshold: u64, rng: &mut SmallRng) -> bool {
+    threshold == u64::MAX || rng.next_u64() < threshold
+}
 
 /// Struct-of-arrays storage for per-node behavior segments: the hot
 /// sweeps read "woken?" / "transmitting?" for 64 nodes per [`BitSet`]
@@ -46,6 +69,8 @@ struct BehaviorTable {
     has_deadline: BitSet,
     /// Transmission probability; meaningful iff the transmit bit is set.
     p: Vec<f64>,
+    /// `threshold(p)`, the form the transmit draw reads.
+    threshold: Vec<u64>,
     /// Segment deadline; meaningful iff the has_deadline bit is set.
     until: Vec<Slot>,
 }
@@ -57,6 +82,7 @@ impl BehaviorTable {
             transmit: BitSet::new(n),
             has_deadline: BitSet::new(n),
             p: vec![0.0; n],
+            threshold: vec![0; n],
             until: vec![0; n],
         }
     }
@@ -82,6 +108,7 @@ impl BehaviorTable {
             Behavior::Transmit { p, until } => {
                 self.transmit.insert(li);
                 self.p[li] = p;
+                self.threshold[li] = threshold(p);
                 until
             }
             Behavior::Silent { until } => {
@@ -110,6 +137,14 @@ impl BehaviorTable {
     fn tx_p(&self, l: u32) -> Option<f64> {
         let li = l as usize;
         self.transmit.contains(li).then(|| self.p[li])
+    }
+
+    /// [`threshold`] of the transmission probability iff the node is in
+    /// a transmit segment.
+    #[inline]
+    fn tx_threshold(&self, l: u32) -> Option<u64> {
+        let li = l as usize;
+        self.transmit.contains(li).then(|| self.threshold[li])
     }
 
     /// `true` iff installed as `Silent { until: None }`.
@@ -144,6 +179,14 @@ pub struct SlotKernel<P: RadioProtocol> {
     /// compacted out and re-inserted by a reactivating reception.
     active: Vec<u32>,
     in_active: Vec<bool>,
+    /// Set when a member may have retired since the last compaction: it
+    /// installed `Silent { until: None }`, or decided (retiring needs
+    /// both). [`compact`](Self::compact) does nothing while it is clear.
+    retiring: bool,
+    /// A lower bound on every live deadline: each install lowers it,
+    /// each deadline sweep recomputes it.
+    /// [`deadline_phase`](Self::deadline_phase) skips slots below it.
+    next_due: Slot,
     acc: DeliveryKernel,
     /// This slot's transmitters, in draw order.
     txs: Vec<u32>,
@@ -188,6 +231,8 @@ impl<P: RadioProtocol> SlotKernel<P> {
             next_wake: 0,
             active: Vec::with_capacity(m),
             in_active: vec![false; m],
+            retiring: false,
+            next_due: Slot::MAX,
             acc: DeliveryKernel::new(m),
             txs: Vec::new(),
             air: std::iter::repeat_with(|| None).take(m).collect(),
@@ -224,6 +269,18 @@ impl<P: RadioProtocol> SlotKernel<P> {
     #[inline]
     pub fn tx_p(&self, l: u32) -> Option<f64> {
         self.behaviors.tx_p(l)
+    }
+
+    /// One transmit draw for member `l`'s current segment: `true` iff
+    /// it is in a transmit segment and the Bernoulli draw succeeds
+    /// (the draw [`transmit_phase`](Self::transmit_phase) makes, for
+    /// engines that decide transmissions node by node).
+    #[inline]
+    pub(crate) fn draw_tx(&mut self, l: u32) -> bool {
+        match self.behaviors.tx_threshold(l) {
+            Some(t) => bernoulli(t, &mut self.rngs[l as usize]),
+            None => false,
+        }
     }
 
     /// Members that have not decided yet. Zero means every member woke
@@ -371,7 +428,7 @@ impl<P: RadioProtocol> SlotKernel<P> {
             (None, None) => return true,
             (None, Some(b)) => match b.validate_at(slot) {
                 Ok(()) => {
-                    self.behaviors.set(l, b);
+                    self.install(l, b);
                     return true;
                 }
                 Err(fault) => fault,
@@ -383,6 +440,20 @@ impl<P: RadioProtocol> SlotKernel<P> {
         false
     }
 
+    /// Installs `l`'s validated segment `b` and keeps the sweep bounds:
+    /// a deadline lowers `next_due`, and `Silent { until: None }` may
+    /// retire `l`. Kept out of line: installs are rare next to the
+    /// deliveries whose path runs through [`accept`](Self::accept), which
+    /// stays small enough to inline there.
+    #[inline(never)]
+    fn install(&mut self, l: u32, b: Behavior) {
+        match b.until() {
+            Some(u) => self.next_due = self.next_due.min(u),
+            None => self.retiring |= matches!(b, Behavior::Silent { .. }),
+        }
+        self.behaviors.set(l, b);
+    }
+
     /// Flips `l`'s decided flag (once) when its protocol reports
     /// decided, recording the slot and firing `on_decided`.
     #[inline]
@@ -390,6 +461,7 @@ impl<P: RadioProtocol> SlotKernel<P> {
         let li = l as usize;
         if !self.decided.contains(li) && self.protocols[li].is_decided() {
             self.decided.insert(li);
+            self.retiring = true;
             self.stats[li].decided_at = Some(slot);
             self.undecided -= 1;
             monitor.on_decided(self.members[li], slot, &self.protocols[li]);
@@ -426,32 +498,46 @@ impl<P: RadioProtocol> SlotKernel<P> {
         true
     }
 
-    /// Phase 2: fires every active member's deadline due at `slot`.
+    /// Phase 2: fires every active member's deadline due at `slot`, in
+    /// active-set order. Slots before the next deadline cost nothing;
+    /// a sweep recomputes that bound from the deadlines it passes and
+    /// the ones its firings install.
     pub fn deadline_phase<M: InvariantMonitor<P>>(&mut self, slot: Slot, monitor: &mut M) -> bool {
         if self.error.is_some() {
             return false;
         }
+        if slot < self.next_due {
+            return true;
+        }
+        self.next_due = Slot::MAX;
         // Hooks never touch the active set; holding it outside `self`
         // keeps the sweep a plain slice walk.
         let active = std::mem::take(&mut self.active);
-        let ok = active.iter().all(|&l| {
-            self.behaviors.until(l) != Some(slot) || self.fire_deadline(l, slot, monitor)
+        let ok = active.iter().all(|&l| match self.behaviors.until(l) {
+            Some(u) if u == slot => self.fire_deadline(l, slot, monitor),
+            Some(u) => {
+                self.next_due = self.next_due.min(u);
+                true
+            }
+            None => true,
         });
         self.active = active;
         ok
     }
 
     /// Phase 3: starts the slot's accumulator epoch; every active member
-    /// in a transmit segment asks `draw(l, p, rng)` (local index,
-    /// probability, the member's stream) whether it transmits — the
-    /// simulator flips its Bernoulli coin, the model checker reads a
-    /// bitmask. Each transmitter composes its message, parks it on the
-    /// air and is marked in the accumulator; [`scatter`](Self::scatter)
-    /// then reaches the listeners.
+    /// in a transmit segment asks `draw(l, threshold, rng)` (local
+    /// index, the segment's integer threshold — `(p·2⁶⁴) as u64`, or
+    /// `u64::MAX` for p = 1 — and the member's stream) whether it
+    /// transmits: the simulator passes `bernoulli`, one `next_u64`
+    /// compare with the bits `gen_bool(p)` reads; the model checker
+    /// reads a bitmask. Each transmitter composes its message, parks it
+    /// on the air and is marked in the accumulator;
+    /// [`scatter`](Self::scatter) then reaches the listeners.
     pub fn transmit_phase<M: InvariantMonitor<P>>(
         &mut self,
         slot: Slot,
-        mut draw: impl FnMut(u32, f64, &mut SmallRng) -> bool,
+        mut draw: impl FnMut(u32, u64, &mut SmallRng) -> bool,
         monitor: &mut M,
     ) -> bool {
         if self.error.is_some() {
@@ -462,10 +548,10 @@ impl<P: RadioProtocol> SlotKernel<P> {
         let active = std::mem::take(&mut self.active);
         let ok = active.iter().all(|&l| {
             let li = l as usize;
-            let Some(p) = self.behaviors.tx_p(l) else {
+            let Some(t) = self.behaviors.tx_threshold(l) else {
                 return true;
             };
-            if !draw(l, p, &mut self.rngs[li]) {
+            if !draw(l, t, &mut self.rngs[li]) {
                 return true;
             }
             let Some(msg) = self.compose(l, slot, monitor) else {
@@ -572,12 +658,56 @@ impl<P: RadioProtocol> SlotKernel<P> {
     /// End-of-slot compaction: drops retired members from the active
     /// set. They draw no randomness and never transmit, so removal
     /// cannot change any outcome — it only shrinks the per-slot loops.
+    /// Runs only after a slot in which a member may have retired.
     pub fn compact(&mut self) {
+        if !std::mem::take(&mut self.retiring) {
+            return;
+        }
         let (behaviors, decided, in_active) = (&self.behaviors, &self.decided, &mut self.in_active);
         self.active.retain(|&l| {
             let keep = !(decided.contains(l as usize) && behaviors.silent_forever(l));
             in_active[l as usize] = keep;
             keep
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The threshold draw must be `gen_bool(p)` bit for bit: the same
+    /// answers from the same stream, leaving the stream in the same
+    /// state, and no draw at all for p = 1.
+    #[test]
+    fn threshold_draw_is_gen_bool() {
+        let mut pick = SmallRng::seed_from_u64(0x7E57);
+        let fixed = [
+            1.0,
+            1.0 - f64::EPSILON / 2.0,
+            0.5,
+            1.0 / 252.0,
+            f64::MIN_POSITIVE,
+        ];
+        let random = (0..200).map(|_| 1.0 - pick.gen::<f64>());
+        for (i, p) in fixed.into_iter().chain(random).enumerate() {
+            assert!(p > 0.0 && p <= 1.0, "p = {p}");
+            let t = threshold(p);
+            assert_eq!(t == u64::MAX, p == 1.0, "p = {p}: sentinel");
+            let mut ours = SmallRng::seed_from_u64(i as u64);
+            let mut theirs = ours.clone();
+            for k in 0..1_000 {
+                assert_eq!(
+                    bernoulli(t, &mut ours),
+                    theirs.gen_bool(p),
+                    "p = {p}, draw {k}"
+                );
+            }
+            assert_eq!(ours, theirs, "p = {p}: stream state");
+            if p == 1.0 {
+                assert_eq!(ours, SmallRng::seed_from_u64(i as u64), "p = 1 draws");
+            }
+        }
     }
 }

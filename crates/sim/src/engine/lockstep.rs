@@ -1,15 +1,18 @@
-//! The lock-step reference engine: every awake node is visited every
-//! slot; transmission decisions are independent Bernoulli draws — a
-//! direct transcription of the model in Sect. 2 of the paper.
+//! The lock-step reference engine: slot by slot, every awake node in a
+//! transmit segment makes an independent Bernoulli draw — a direct
+//! transcription of the model in Sect. 2 of the paper.
 //!
 //! [`Lockstep`] is a short loop over the four phases of the driver's
 //! whole-graph [`SlotKernel`](super::kernel::SlotKernel); all
-//! protocol/channel/monitor threading lives in the kernel.
+//! protocol/channel/monitor threading lives in the kernel. The phases
+//! visit only what is due, in the order a full sweep would: deadline
+//! sweeps skip the slots before the next deadline, and compaction runs
+//! only after a slot in which a node may have retired.
 
 use super::driver::{Completion, Engine, SimDriver};
+use super::kernel::bernoulli;
 use crate::monitor::InvariantMonitor;
 use crate::protocol::{RadioProtocol, Slot};
-use rand::Rng;
 
 /// The per-slot reference strategy: run the kernel's phases for every
 /// slot until every node decided, a protocol error stopped the run, or
@@ -31,7 +34,7 @@ impl Engine for Lockstep {
         loop {
             let ok = k.wake_phase(slot, monitor)
                 && k.deadline_phase(slot, monitor)
-                && k.transmit_phase(slot, |_, p, rng| rng.gen_bool(p), monitor);
+                && k.transmit_phase(slot, |_, t, rng| bernoulli(t, rng), monitor);
             if !ok {
                 break;
             }

@@ -3,8 +3,9 @@
 //! Two engines share identical semantics (see the ordering contract in
 //! [`crate::protocol`]):
 //!
-//! * [`lockstep`] — the auditable reference: every awake node is stepped
-//!   every slot, transmission is one Bernoulli draw per slot.
+//! * [`lockstep`] — the auditable reference: slot by slot, transmission
+//!   is one Bernoulli draw per node in a transmit segment; deadline and
+//!   compaction sweeps run only on slots that can have work for them.
 //! * [`event`] — the fast engine: transmissions are geometric skips,
 //!   deadlines and wake-ups are heap events, and work happens only at
 //!   slots where something is on the air. `O(events·log n)` instead of

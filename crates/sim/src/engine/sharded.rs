@@ -59,7 +59,7 @@
 //! and [`SimOutcome::error`] is `Some` either way).
 
 use super::driver::SimDriver;
-use super::kernel::SlotKernel;
+use super::kernel::{bernoulli, SlotKernel};
 use super::lockstep::Lockstep;
 use super::{collect_violations, ExecutedEngine, NodeStats, SimConfig, SimOutcome, MAX_FAULT_LOG};
 use crate::channel::BuiltinChannel;
@@ -69,7 +69,6 @@ use crate::trace::Event;
 use parking_lot::Mutex;
 use radio_graph::{Graph, NodeId, Partition};
 use radio_transport::SpinBarrier;
-use rand::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One boundary delivery: `(listener, sender, message)`, all ids global.
@@ -183,7 +182,7 @@ impl<P: RadioProtocol> ShardState<P> {
     fn phase_tx(&mut self, slot: Slot, ctx: &Ctx<'_, P>) {
         if !self
             .kernel
-            .transmit_phase(slot, |_, p, rng| rng.gen_bool(p), &mut self.tape)
+            .transmit_phase(slot, |_, t, rng| bernoulli(t, rng), &mut self.tape)
         {
             return;
         }
@@ -511,7 +510,7 @@ mod tests {
     use crate::protocol::Behavior;
     use radio_graph::generators::gnp;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Exercises every phase: random-length transmit/silent segments
     /// switched by deadlines, receive-driven behavior changes, decision

@@ -6,10 +6,11 @@
 //! protocol contract specifies (wake → deadline → transmission draw →
 //! delivery), and consumes the node's private RNG stream in *exactly*
 //! the sequence the simulator's `SimDriver` does — one `gen_bool(p)`
-//! per transmit-segment slot, one `message` draw per transmission,
-//! nothing else. That is what makes the loopback medium bit-identical
-//! to the lock-step engine: same `(seed, node)` stream, same draw
-//! sequence, same protocol code.
+//! per transmit-segment slot (the simulator reads the same 64 bits
+//! against a threshold stored per segment), one `message` draw per
+//! transmission, nothing else. That is what makes the loopback medium
+//! bit-identical to the lock-step engine: same `(seed, node)` stream,
+//! same draw sequence, same protocol code.
 //!
 //! A [`Transport`] is a blocking, slot-synchronous view of the medium
 //! from one node's side:
