@@ -11,9 +11,10 @@
 #   ./ci.sh --repro-corpus # only replay results/repros/ through the monitor
 #   ./ci.sh --model-check  # only run the radio-mc gate (writes MC.json)
 #   ./ci.sh --tsan         # only run the best-effort ThreadSanitizer leg
-#                          # over tests/driver_identity.rs (records a
-#                          # "tsan" field in BENCH_sim.json; skips with a
-#                          # notice when the nightly toolchain is absent)
+#                          # over tests/driver_identity.rs and colord's
+#                          # shard_equivalence (records a "tsan" field in
+#                          # BENCH_sim.json; skips with a notice when the
+#                          # nightly toolchain is absent)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -71,17 +72,19 @@ record_tsan() {
     fi
 }
 
-# Best-effort ThreadSanitizer leg over the cross-engine identity suite
-# (tests/driver_identity.rs, a test of the root package) — the test
-# that drives the lockstep and sharded engines against each other, i.e.
-# the one whose threads TSan can actually race. Needs a nightly
+# Best-effort ThreadSanitizer leg over the two suites whose threads TSan
+# can actually race: the cross-engine identity suite
+# (tests/driver_identity.rs, a test of the root package), which drives
+# the lockstep and sharded engines against each other, and colord's
+# crates/colord/tests/shard_equivalence.rs, whose K-shard workers drive
+# the same slot kernel across threads. Needs a nightly
 # toolchain with the rust-src component (-Zbuild-std must rebuild std
 # with the sanitizer) and ≥4 host threads for the sharded engine to
 # spawn workers; when a prerequisite is missing the leg records
 # "skipped: <reason>" instead of failing, so the default gate stays
 # green on stable-only hosts.
 run_tsan() {
-    echo "==> ThreadSanitizer leg (driver_identity)"
+    echo "==> ThreadSanitizer leg (driver_identity, shard_equivalence)"
     local status host
     if [[ "$(nproc 2>/dev/null || echo 1)" -lt 4 ]]; then
         status="skipped: fewer than 4 host threads"
@@ -94,7 +97,8 @@ run_tsan() {
         host="$(rustc -vV | sed -n 's/^host: //p')"
         if RUSTFLAGS="-Zsanitizer=thread" \
             cargo +nightly test -q -Zbuild-std --target "$host" \
-            -p unstructured-radio-coloring --test driver_identity; then
+            -p unstructured-radio-coloring --test driver_identity \
+            -p colord --test shard_equivalence; then
             status="pass"
         else
             status="fail"

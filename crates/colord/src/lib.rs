@@ -13,18 +13,19 @@
 //! * [`service`] — the deterministic core, a facade over the spatial
 //!   sharding: one [`ColoringNode`] FSM per joined node (the *same*
 //!   FSM type the simulator runs — no forked protocol logic), stepped
-//!   slot-by-slot with exactly the simulator's intra-slot ordering and
-//!   per-node RNG streams, plus the incrementally patched TDMA view.
-//!   No sockets, no clocks; fully unit-testable.
+//!   on the simulator's own slot kernel ([`radio_sim::SlotKernel`])
+//!   with its per-node RNG streams, plus the incrementally patched
+//!   TDMA view. No sockets, no clocks; fully unit-testable.
 //! * `router` (internal) — session→shard placement (Lemma 1 strips over the
-//!   join x-coordinate), the mutating unit disk graph with its cached
-//!   adjacency, the boundary-node registry, and the online κ₂
-//!   estimator feeding `AlgorithmParams`.
-//! * `shard` (internal) — the per-strip slot engine: each shard owns its
-//!   strip's FSMs and steps them in barrier-separated phases, with
-//!   boundary frames exchanged through per-pair mailboxes (mirroring
-//!   the sharded sim engine). Single- and k-shard runs of the same
-//!   session schedule settle to bit-identical colorings.
+//!   join x-coordinate) and each node's index in its shard's kernel,
+//!   the mutating unit disk graph with its cached adjacency, and the
+//!   online κ₂ estimator feeding `AlgorithmParams`.
+//! * `shard` (internal) — the per-strip slot engine: each shard is a
+//!   slot kernel over its strip's FSMs, stepped in barrier-separated
+//!   phases, with boundary frames exchanged through per-pair mailboxes
+//!   (the shape of a sharded sim engine shard). Single- and k-shard
+//!   runs of the same session schedule settle to bit-identical
+//!   colorings.
 //! * [`wire`] — the framed request/response vocabulary
 //!   ([`radio_transport::WireMessage`] codecs) plus a small blocking
 //!   client.

@@ -2,15 +2,12 @@
 //!
 //! The router is everything the shards must agree on: the mutating
 //! unit disk graph, its cached sorted adjacency, which strip owns each
-//! node, and the session-token table. Placement is geometric — a
-//! [`StripMap`] over the join x-coordinate with strips exactly one
-//! connection radius wide, so a node's neighbors live in its own strip
-//! or the two adjacent ones (the paper's Lemma 1 bounded-boundary
-//! argument, the same decomposition the sharded sim driver uses). On
-//! top of the placement the router keeps a *boundary registry*: a
-//! per-node "all my neighbors are local" bit, maintained on join and
-//! leave, which lets the hot contention scatter skip per-neighbor
-//! shard lookups for interior nodes.
+//! node and where in that shard's slot kernel it sits, and the
+//! session-token table. Placement is geometric — a [`StripMap`] over
+//! the join x-coordinate with strips exactly one connection radius
+//! wide, so a node's neighbors live in its own strip or the two
+//! adjacent ones (the paper's Lemma 1 bounded-boundary argument, the
+//! same decomposition `radio_sim::run_sharded` uses).
 //!
 //! The router also owns the [`Kappa2Estimator`]: every join announces
 //! the joiner's neighborhood (the Sect. 6 move — estimate what the
@@ -41,9 +38,9 @@ pub(crate) struct Router {
     nbrs: Vec<Vec<NodeId>>,
     /// Which shard owns each node id (valid while the id is live).
     owner: Vec<u32>,
-    /// Boundary registry: `true` iff every neighbor shares the node's
-    /// shard, so its frames never cross a strip boundary.
-    interior: Vec<bool>,
+    /// Each node's local index in its owner's slot kernel (valid while
+    /// the id is live).
+    local: Vec<u32>,
     free: Vec<NodeId>,
     by_token: BTreeMap<u64, NodeId>,
     strips: StripMap,
@@ -63,7 +60,7 @@ impl Router {
             udg: DynamicUdg::new(cfg.radius),
             nbrs: Vec::new(),
             owner: Vec::new(),
-            interior: Vec::new(),
+            local: Vec::new(),
             free: Vec::new(),
             by_token: BTreeMap::new(),
             // Strip width = connection radius: neighbors land in
@@ -107,10 +104,20 @@ impl Router {
         self.owner[v as usize]
     }
 
-    /// Boundary registry lookup: `true` iff all of `v`'s neighbors are
-    /// in `v`'s own shard.
-    pub(crate) fn is_interior(&self, v: NodeId) -> bool {
-        self.interior[v as usize]
+    /// A live node's local index in its owner's slot kernel.
+    pub(crate) fn local(&self, v: NodeId) -> u32 {
+        self.local[v as usize]
+    }
+
+    /// `v`'s local index in shard `at`'s kernel, if `at` owns it.
+    #[inline]
+    pub(crate) fn local_in(&self, at: usize, v: NodeId) -> Option<u32> {
+        (self.owner[v as usize] as usize == at).then(|| self.local[v as usize])
+    }
+
+    /// Records where the owner's kernel admitted `v`.
+    pub(crate) fn place(&mut self, v: NodeId, local: u32) {
+        self.local[v as usize] = local;
     }
 
     /// Live ids in ascending order.
@@ -127,24 +134,18 @@ impl Router {
             .ok_or(ServiceError::UnknownToken)
     }
 
-    fn recompute_interior(&mut self, v: NodeId) {
-        let own = self.owner[v as usize];
-        self.interior[v as usize] = self.nbrs[v as usize]
-            .iter()
-            .all(|&w| self.owner[w as usize] == own);
-    }
-
     /// Places a new session: allocates an id, inserts it into the
-    /// topology and the strip map, announces its neighborhood to the
-    /// estimator, and updates the boundary registry. Returns the id
-    /// and its owning shard.
+    /// topology and the strip map, and announces its neighborhood to
+    /// the estimator. Returns the id and its owning shard; the caller
+    /// admits it there and records its local index with
+    /// [`place`](Self::place).
     pub(crate) fn admit(&mut self, token: u64, x: f64, y: f64) -> (NodeId, u32) {
         let id = match self.free.pop() {
             Some(id) => id,
             None => {
                 self.nbrs.push(Vec::new());
                 self.owner.push(0);
-                self.interior.push(true);
+                self.local.push(0);
                 (self.nbrs.len() - 1) as NodeId
             }
         };
@@ -165,13 +166,6 @@ impl Router {
         self.nbrs[id as usize] = nbrs;
         let shard = self.strips.shard_of_x(x);
         self.owner[id as usize] = shard;
-        self.recompute_interior(id);
-        for at in 0..self.nbrs[id as usize].len() {
-            let w = self.nbrs[id as usize][at];
-            if self.owner[w as usize] != shard {
-                self.interior[w as usize] = false;
-            }
-        }
         self.by_token.insert(token, id);
         self.joins += 1;
         (id, shard)
@@ -179,7 +173,8 @@ impl Router {
 
     /// Removes a session from the topology. Returns the id, its shard,
     /// and its former neighbor list (the TDMA schedule needs it to
-    /// reverse-patch conflicts).
+    /// reverse-patch conflicts). Its [`local`](Self::local) index stays
+    /// readable until the id is reused.
     pub(crate) fn evict(&mut self, token: u64) -> Result<(NodeId, u32, Vec<NodeId>), ServiceError> {
         let id = self.resolve(token)?;
         self.by_token.remove(&token);
@@ -190,10 +185,6 @@ impl Router {
             if let Ok(at) = list.binary_search(&id) {
                 list.remove(at);
             }
-        }
-        // Losing a boundary neighbor can turn a node interior again.
-        for &w in &old {
-            self.recompute_interior(w);
         }
         if let Some(est) = self.estimator.as_mut() {
             est.retract(u64::from(id));

@@ -1,19 +1,20 @@
 //! The deterministic service core: live membership + slot stepping.
 //!
 //! [`Service`] owns one [`ColoringNode`] FSM per joined node and steps
-//! them with the simulator's exact intra-slot ordering (wake-ups →
-//! deadlines → transmission draws → deliveries, receive-installed
-//! behaviors effective the next slot; see
-//! `radio_transport::pump::pump_node`). The only difference from a
-//! simulation run is that the graph and the node set change over time:
-//! joins wake a fresh FSM at the next slot, leaves detach a node
-//! mid-run. Decided nodes keep transmitting their `M_C` beacons
-//! forever — that is what lets a late joiner compete against, and defer
-//! to, an already-colored neighborhood.
+//! them on the simulator's own lock-step slot kernel
+//! ([`radio_sim::SlotKernel`]: wake-ups → deadlines → transmission
+//! draws → deliveries, receive-installed behaviors effective the next
+//! slot). The only difference from a simulation run is that the graph
+//! and the node set change over time: joins admit a fresh FSM that
+//! wakes at the next slot, leaves evict a node mid-run, and watchdog
+//! resets and κ̂₂ reprovisions restart one. Decided nodes keep
+//! transmitting their `M_C` beacons forever — that is what lets a late
+//! joiner compete against, and defer to, an already-colored
+//! neighborhood.
 //!
-//! Since the sharding refactor this type is a facade over three
-//! layers: the router (placement, topology, tokens, κ̂₂), k spatial
-//! shards stepped in lockstep (see the `crate::shard` module docs for
+//! This type is a facade over three layers: the router (placement,
+//! topology, tokens, κ̂₂), k spatial shards stepped in lockstep, each a
+//! slot kernel plus mailboxes (see the `crate::shard` module docs for
 //! the phase structure and the bit-identity argument), and an
 //! incrementally patched `TdmaState`. Requests lock the router
 //! (shared for heartbeats) plus one shard; only membership changes
@@ -318,7 +319,7 @@ pub struct Service {
     shards: Vec<Mutex<Shard>>,
     /// Incrementally patched TDMA schedule (colors, conflicts, frame).
     tdma: Mutex<TdmaState>,
-    /// Atomic cross-shard state (slot clock, undecided, token counter).
+    /// Atomic cross-shard state (slot clock, token counter, heartbeats).
     shared: Shared,
     /// `mailbox[src][dst]`: boundary frames in flight between shards.
     mailbox: Vec<Vec<Mutex<Vec<Frame>>>>,
@@ -361,7 +362,9 @@ impl Service {
     /// matter to undecided listeners). The server parks its ticker on
     /// this.
     pub fn idle(&self) -> bool {
-        self.shared.undecided.load(Ordering::Relaxed) == 0
+        self.shards
+            .iter()
+            .all(|cell| cell.lock().expect("shard lock").kernel.undecided() == 0)
     }
 
     /// Admits a node at position `(x, y)`; it wakes at the next slot.
@@ -378,27 +381,19 @@ impl Service {
         // never-reused RNG stream — exactly like a new simulated node.
         let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
         let (id, at) = router.admit(token, x, y);
-        let params = router.params(&self.cfg);
+        let proto = ColoringNode::new(token as ProtoId, router.params(&self.cfg));
+        let rng = node_rng(self.cfg.seed, token as u32);
         let wake = self.shared.slot.load(Ordering::Relaxed) + 1;
-        {
-            let mut shard = self.shards[at as usize].lock().expect("shard lock");
-            shard.nodes.insert(
-                id,
-                crate::shard::LiveNode {
-                    token,
-                    proto: ColoringNode::new(token as ProtoId, params),
-                    rng: node_rng(self.cfg.seed, token as u32),
-                    behavior: None,
-                    wake,
-                },
-            );
-            shard.undecided += 1;
-        }
+        let l = self.shards[at as usize]
+            .lock()
+            .expect("shard lock")
+            .kernel
+            .admit(id, proto, rng, wake);
+        router.place(id, l);
         self.tdma
             .lock()
             .expect("tdma lock")
             .ensure(router.capacity());
-        self.shared.undecided.fetch_add(1, Ordering::Relaxed);
         Ok(token)
     }
 
@@ -406,22 +401,15 @@ impl Service {
     pub fn leave(&self, token: u64) -> Result<(), ServiceError> {
         let mut router = self.router.write().expect("router lock");
         let (id, at, old_nbrs) = router.evict(token)?;
-        let decided;
-        {
-            let mut shard = self.shards[at as usize].lock().expect("shard lock");
-            let node = shard.nodes.remove(&id).expect("token maps to live node");
-            debug_assert_eq!(node.token, token, "token table consistent");
-            decided = node.proto.color().is_some();
-            if !decided {
-                shard.undecided -= 1;
-            }
-        }
-        if decided {
+        let l = router.local(id);
+        let gone = self.shards[at as usize]
+            .lock()
+            .expect("shard lock")
+            .evict(l);
+        if gone.decided_at.is_some() {
             // Reverse-patch the schedule with the adjacency the node
             // had while live (the router already forgot it).
             self.tdma.lock().expect("tdma lock").retire(id, &old_nbrs);
-        } else {
-            self.shared.undecided.fetch_sub(1, Ordering::Relaxed);
         }
         drop(router);
         Ok(())
@@ -435,12 +423,12 @@ impl Service {
         let id = router.resolve(token)?;
         let at = router.shard_of(id) as usize;
         let shard = self.shards[at].lock().expect("shard lock");
-        let node = shard.nodes.get(&id).expect("live node");
+        let node = &shard.kernel.protocols()[router.local(id) as usize];
         self.shared.heartbeats.fetch_add(1, Ordering::Relaxed);
         Ok(Heartbeat {
             slot: self.shared.slot.load(Ordering::Relaxed),
-            color: node.proto.color(),
-            leader: node.proto.is_leader(),
+            color: node.color(),
+            leader: node.is_leader(),
         })
     }
 
@@ -459,26 +447,19 @@ impl Service {
         let params = router.params(&self.cfg);
         let wake = self.shared.slot.load(Ordering::Relaxed) + 1;
         for id in router.live_ids() {
-            let at = router.shard_of(id) as usize;
-            let was_decided;
-            {
-                let mut shard = self.shards[at].lock().expect("shard lock");
-                let node = shard.nodes.get_mut(&id).expect("live node");
-                if node.proto.params().kappa2 >= kappa2 {
-                    continue;
-                }
-                was_decided = node.proto.color().is_some();
-                let fresh = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-                node.proto = ColoringNode::new(fresh as ProtoId, params);
-                node.rng = node_rng(self.cfg.seed, fresh as u32);
-                node.behavior = None;
-                node.wake = wake;
-                if was_decided {
-                    shard.undecided += 1;
-                }
+            let (at, l) = (router.shard_of(id) as usize, router.local(id));
+            let mut shard = self.shards[at].lock().expect("shard lock");
+            let node = &shard.kernel.protocols()[l as usize];
+            if node.params().kappa2 >= kappa2 {
+                continue;
             }
+            let was_decided = node.color().is_some();
+            let fresh = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
+            let proto = ColoringNode::new(fresh as ProtoId, params);
+            let rng = node_rng(self.cfg.seed, fresh as u32);
+            shard.kernel.restart(l, proto, rng, wake);
+            drop(shard);
             if was_decided {
-                self.shared.undecided.fetch_add(1, Ordering::Relaxed);
                 self.tdma
                     .lock()
                     .expect("tdma lock")
@@ -488,21 +469,23 @@ impl Service {
         }
     }
 
-    /// Advances the slot clock by `slots`, stepping every live FSM with
-    /// the simulator's intra-slot ordering. With `shards: 1` the loop
-    /// runs on the calling thread; otherwise k − 1 workers are scoped
-    /// in and the caller drives shard 0. Either way the coloring is
-    /// bit-identical (see the `crate::shard` module docs).
+    /// Advances the slot clock by `slots`, stepping every live FSM on
+    /// the slot kernel. With `shards: 1` the loop runs on the calling
+    /// thread; otherwise k − 1 workers are scoped in and the caller
+    /// drives shard 0. Either way the coloring is bit-identical (see
+    /// the `crate::shard` module docs).
+    ///
+    /// # Panics
+    /// If a kernel stopped on a [`ProtocolError`](radio_sim::ProtocolError)
+    /// — an invalid behavior or a protocol contract breach. The FSM and
+    /// the slot loop are both this workspace's code, so that is a bug,
+    /// not client input; a stopped kernel would never go idle.
     pub fn step(&self, slots: u64) {
         if slots == 0 {
             return;
         }
         self.reprovision();
         let router = self.router.read().expect("router lock");
-        let cap = router.capacity();
-        for cell in &self.shards {
-            cell.lock().expect("shard lock").reserve(cap);
-        }
         let ctx = StepCtx {
             router: &router,
             shared: &self.shared,
@@ -527,23 +510,16 @@ impl Service {
                 worker_loop(0, &self.shards, &self.tdma, &ctx, &barrier, slots);
             });
         }
-        #[cfg(debug_assertions)]
-        {
-            let mut undecided = 0usize;
-            for cell in &self.shards {
-                undecided += cell.lock().expect("shard lock").undecided;
+        for cell in &self.shards {
+            if let Some(e) = cell.lock().expect("shard lock").kernel.error() {
+                panic!("colord slot kernel stopped on a protocol error: {e}");
             }
-            debug_assert_eq!(
-                undecided,
-                self.shared.undecided.load(Ordering::Relaxed),
-                "per-shard undecided partitions the global count"
-            );
         }
     }
 
-    /// A consistent view of the live coloring at the current slot.
-    /// O(shards + colors), not O(nodes): the TDMA state is patched
-    /// incrementally by decide/leave events.
+    /// A consistent view of the live coloring at the current slot. The
+    /// TDMA state is patched incrementally by decide/leave events, so
+    /// only the traffic counters are summed over the nodes.
     pub fn snapshot(&self) -> Snapshot {
         let router = self.router.read().expect("router lock");
         let mut stats = ServiceStats {
@@ -557,15 +533,16 @@ impl Service {
         let mut shard_undecided = Vec::with_capacity(self.shards.len());
         for cell in &self.shards {
             let shard = cell.lock().expect("shard lock");
-            stats.transmissions += shard.stats.transmissions;
-            stats.deliveries += shard.stats.deliveries;
-            stats.collisions += shard.stats.collisions;
-            stats.resets += shard.stats.resets;
-            shard_undecided.push(shard.undecided);
+            let t = shard.traffic();
+            stats.transmissions += t.sent;
+            stats.deliveries += t.received;
+            stats.collisions += t.collisions;
+            stats.resets += shard.resets;
+            shard_undecided.push(shard.kernel.undecided());
         }
         let tdma = self.tdma.lock().expect("tdma lock");
         let live = router.len();
-        let undecided = self.shared.undecided.load(Ordering::Relaxed);
+        let undecided: usize = shard_undecided.iter().sum();
         Snapshot {
             slot: stats.slots,
             live,

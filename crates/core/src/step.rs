@@ -233,7 +233,7 @@ impl<'a, P: ObservableColoring> SlotStepper<'a, P> {
     ) -> bool {
         let k = &mut self.kernel;
         if k.transmit_phase(self.slot, |v, _, _| choice.tx >> v & 1 == 1, monitor) {
-            k.scatter(self.graph, Some, |_, _, _| {});
+            k.scatter(|v| self.graph.neighbors(v), Some, |_, _, _| {});
             k.deliver_phase(self.slot, &mut DropMask(choice.drop), Some, monitor);
         }
         k.compact();

@@ -2,7 +2,7 @@
 //! and the simulator's slot kernel.
 
 /// A bitset over `0..capacity` backed by `u64` words.
-#[derive(PartialEq, Eq, Debug)]
+#[derive(PartialEq, Eq, Debug, Default)]
 pub struct BitSet {
     words: Vec<u64>,
     capacity: usize,
@@ -45,6 +45,14 @@ impl BitSet {
     /// Capacity (universe size).
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Raises the capacity to at least `capacity`; new elements start absent.
+    pub fn grow(&mut self, capacity: usize) {
+        if capacity > self.capacity {
+            self.words.resize(capacity.div_ceil(64), 0);
+            self.capacity = capacity;
+        }
     }
 
     /// Inserts `i`.

@@ -54,7 +54,7 @@ use radio_graph::{Graph, NodeId};
 /// (or [`transmit`](Self::transmit) for a whole-graph member set), then
 /// read the touched listeners back with [`touched`](Self::touched) /
 /// [`unique_sender`](Self::unique_sender).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DeliveryKernel {
     /// Current slot epoch; 0 means "no slot started yet".
     epoch: u64,
@@ -73,14 +73,17 @@ pub struct DeliveryKernel {
 impl DeliveryKernel {
     /// An accumulator for `len` members.
     pub fn new(len: usize) -> Self {
-        DeliveryKernel {
-            epoch: 0,
-            tx_epoch: vec![0; len],
-            stamp: vec![0; len],
-            count: vec![0; len],
-            sender: vec![0; len],
-            touched: Vec::new(),
-        }
+        let mut k = DeliveryKernel::default();
+        k.grow(len);
+        k
+    }
+
+    /// Extends the accumulator to `len` (≥ its size) members.
+    pub(crate) fn grow(&mut self, len: usize) {
+        self.tx_epoch.resize(len, 0);
+        self.stamp.resize(len, 0);
+        self.count.resize(len, 0);
+        self.sender.resize(len, 0);
     }
 
     /// Starts a new slot, invalidating all per-slot state in O(1).

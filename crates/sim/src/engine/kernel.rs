@@ -4,22 +4,23 @@
 //! transmits.
 //!
 //! A [`SlotKernel`] owns the per-node state of a member set, indexed by
-//! local index (the position in the ascending member list). Its
-//! per-node hooks (`wake_node`, `fire_deadline`, `compose`, `receive`)
-//! are the only call sites of the [`RadioProtocol`] callbacks in the
-//! simulator and the model checker; its four phases take the slot's
-//! nondeterminism as input — the transmit draw as a closure, the
-//! reception rule as a [`ChannelModel`] — plus the monitor.
+//! local index. Its per-node hooks (`wake_node`, `fire_deadline`,
+//! `compose`, `receive`) are the only call sites of the
+//! [`RadioProtocol`] callbacks outside the loopback pump; its four
+//! phases take the slot's nondeterminism as input — the transmit draw
+//! as a closure, the reception rule as a [`ChannelModel`] — plus the
+//! monitor.
 //!
 //! Every lock-step path runs on it: the sequential
 //! [`SimDriver`](super::driver::SimDriver) holds one kernel over all
 //! nodes (the lock-step engine runs its phases, the event and jittered
 //! engines call its hooks in their own order), each shard of
 //! [`run_sharded`](super::sharded::run_sharded) is a kernel plus the
-//! boundary exchange, and the model checker's `SlotStepper` is a kernel
-//! driven by choice bitmasks. The first protocol error is recorded at
-//! its `(node, slot)` and every later hook or phase returns `false` /
-//! `None`, so each caller stops in the slot it was raised.
+//! boundary exchange, the model checker's `SlotStepper` is a kernel
+//! driven by choice bitmasks, and each `colord` shard is a kernel whose
+//! members change between slots. The first protocol error is recorded
+//! at its `(node, slot)` and every later hook or phase returns `false`
+//! / `None`, so each caller stops in the slot it was raised.
 
 use super::{log_fault, NodeStats};
 use crate::channel::{ChannelModel, Contention, Reception};
@@ -29,7 +30,7 @@ use crate::protocol::{Behavior, ProtocolError, RadioProtocol, Slot};
 use crate::rng::node_rng;
 use crate::trace::Event;
 use radio_graph::bitset::BitSet;
-use radio_graph::{Graph, NodeId};
+use radio_graph::NodeId;
 use rand::rngs::SmallRng;
 use rand::RngCore;
 
@@ -47,11 +48,12 @@ fn threshold(p: f64) -> u64 {
     }
 }
 
-/// One Bernoulli draw against a [`threshold`]: the same bits and the
-/// same answer as `rng.gen_bool(p)`, without its per-call range check
-/// and float conversion.
+/// One Bernoulli draw against a segment's threshold, `(p·2⁶⁴) as u64`
+/// or `u64::MAX` for p = 1: the same bits and the same answer as
+/// `rng.gen_bool(p)`, without its per-call range check and float
+/// conversion.
 #[inline]
-pub(crate) fn bernoulli(threshold: u64, rng: &mut SmallRng) -> bool {
+pub fn bernoulli(threshold: u64, rng: &mut SmallRng) -> bool {
     threshold == u64::MAX || rng.next_u64() < threshold
 }
 
@@ -59,7 +61,7 @@ pub(crate) fn bernoulli(threshold: u64, rng: &mut SmallRng) -> bool {
 /// sweeps read "woken?" / "transmitting?" for 64 nodes per [`BitSet`]
 /// word instead of pointer-chasing `Option<Behavior>`s. `get`/`set`
 /// round-trip [`Behavior`] values exactly.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 struct BehaviorTable {
     /// Node has a behavior installed (woke up).
     present: BitSet,
@@ -76,15 +78,14 @@ struct BehaviorTable {
 }
 
 impl BehaviorTable {
-    fn new(n: usize) -> Self {
-        BehaviorTable {
-            present: BitSet::new(n),
-            transmit: BitSet::new(n),
-            has_deadline: BitSet::new(n),
-            p: vec![0.0; n],
-            threshold: vec![0; n],
-            until: vec![0; n],
-        }
+    /// Room for `n` nodes, the new ones asleep.
+    fn grow(&mut self, n: usize) {
+        self.present.grow(n);
+        self.transmit.grow(n);
+        self.has_deadline.grow(n);
+        self.p.resize(n, 0.0);
+        self.threshold.resize(n, 0);
+        self.until.resize(n, 0);
     }
 
     #[inline]
@@ -160,28 +161,32 @@ impl BehaviorTable {
 /// which is how the model checker branches.
 #[derive(Clone)]
 pub struct SlotKernel<P: RadioProtocol> {
-    /// Global id of each member, ascending.
+    /// Global id of each member ([`VACANT`] once evicted).
     pub(crate) members: Vec<NodeId>,
     /// Protocol state per member.
     pub(crate) protocols: Vec<P>,
-    /// Private per-node streams (`node_rng(seed, global id)`), so the
-    /// draws do not depend on which kernel owns the node.
+    /// Private per-node streams (`node_rng(seed, global id)` from
+    /// [`new`](Self::new)), so the draws do not depend on the kernel.
     pub(crate) rngs: Vec<SmallRng>,
     behaviors: BehaviorTable,
     /// Per-member counters; `wake` doubles as the wake schedule.
     pub(crate) stats: Vec<NodeStats>,
     decided: BitSet,
     undecided: usize,
-    /// Local indices stable-sorted by wake slot (ties: ascending id).
+    /// Local indices stable-sorted by wake slot; the members not woken
+    /// yet start at `next_wake`.
     wake_order: Vec<u32>,
     next_wake: usize,
-    /// Awake members needing per-slot attention; retired members are
-    /// compacted out and re-inserted by a reactivating reception.
+    /// Free local indices, reused by [`admit`](Self::admit).
+    vacant: Vec<u32>,
+    /// Awake members needing per-slot attention; retired and asleep
+    /// members are compacted out until a reception or wake-up.
     active: Vec<u32>,
     in_active: Vec<bool>,
-    /// Set when a member may have retired since the last compaction: it
-    /// installed `Silent { until: None }`, or decided (retiring needs
-    /// both). [`compact`](Self::compact) does nothing while it is clear.
+    /// Set when a member may have left the active set since the last
+    /// compaction: it installed `Silent { until: None }`, decided
+    /// (retiring needs both), or was evicted or restarted.
+    /// [`compact`](Self::compact) does nothing while it is clear.
     retiring: bool,
     /// A lower bound on every live deadline: each install lowers it,
     /// each deadline sweep recomputes it.
@@ -203,46 +208,28 @@ pub struct SlotKernel<P: RadioProtocol> {
     pub(crate) error: Option<ProtocolError>,
 }
 
+/// The member id of a slot freed by [`SlotKernel::evict`].
+const VACANT: NodeId = NodeId::MAX;
+
 impl<P: RadioProtocol> SlotKernel<P> {
-    /// A kernel over `members` (global ids, ascending) running
-    /// `protocols` (one per member), with `wake` the global wake
-    /// schedule and `seed` the run seed.
+    /// A kernel over `members` (global ids) running `protocols` (one
+    /// per member), with `wake` the global wake schedule and `seed` the
+    /// run seed.
     ///
     /// # Panics
     /// If `protocols.len() != members.len()`.
     pub fn new(members: Vec<NodeId>, protocols: Vec<P>, wake: &[Slot], seed: u64) -> Self {
         let m = members.len();
         assert_eq!(protocols.len(), m, "protocol vector length mismatch");
-        let mut wake_order: Vec<u32> = (0..m as u32).collect();
-        wake_order.sort_by_key(|&l| wake[members[l as usize] as usize]);
-        SlotKernel {
-            rngs: members.iter().map(|&g| node_rng(seed, g)).collect(),
-            behaviors: BehaviorTable::new(m),
-            stats: members
-                .iter()
-                .map(|&g| NodeStats {
-                    wake: wake[g as usize],
-                    ..NodeStats::default()
-                })
-                .collect(),
-            decided: BitSet::new(m),
-            undecided: m,
-            wake_order,
-            next_wake: 0,
-            active: Vec::with_capacity(m),
-            in_active: vec![false; m],
-            retiring: false,
-            next_due: Slot::MAX,
-            acc: DeliveryKernel::new(m),
-            txs: Vec::new(),
-            air: std::iter::repeat_with(|| None).take(m).collect(),
-            pending: Vec::new(),
-            faults: Vec::new(),
-            faults_dropped: 0,
-            error: None,
-            members,
-            protocols,
+        let mut k = Self::with_room(m);
+        k.protocols = protocols;
+        for &g in &members {
+            k.push(g, node_rng(seed, g), wake[g as usize]);
         }
+        let (order, stats) = (&mut k.wake_order, &k.stats);
+        order.extend(0..m as u32);
+        order.sort_by_key(|&l| stats[l as usize].wake);
+        k
     }
 
     /// A kernel over every node of the graph `wake` schedules (local
@@ -251,11 +238,162 @@ impl<P: RadioProtocol> SlotKernel<P> {
         Self::new((0..wake.len() as NodeId).collect(), protocols, wake, seed)
     }
 
+    /// A kernel with no members yet, for [`admit`](Self::admit).
+    pub fn empty() -> Self {
+        Self::with_room(0)
+    }
+
+    /// No members yet, and room for `m` without reallocating.
+    fn with_room(m: usize) -> Self {
+        SlotKernel {
+            members: Vec::with_capacity(m),
+            protocols: Vec::new(),
+            rngs: Vec::with_capacity(m),
+            behaviors: BehaviorTable::default(),
+            stats: Vec::with_capacity(m),
+            decided: BitSet::default(),
+            undecided: 0,
+            wake_order: Vec::new(),
+            next_wake: 0,
+            vacant: Vec::new(),
+            active: Vec::with_capacity(m),
+            in_active: Vec::with_capacity(m),
+            retiring: false,
+            next_due: Slot::MAX,
+            acc: DeliveryKernel::default(),
+            txs: Vec::new(),
+            air: Vec::with_capacity(m),
+            pending: Vec::new(),
+            faults: Vec::new(),
+            faults_dropped: 0,
+            error: None,
+        }
+    }
+
+    /// Appends an undecided, unqueued member whose protocol is in place.
+    fn push(&mut self, id: NodeId, rng: SmallRng, wake: Slot) -> u32 {
+        self.members.push(id);
+        self.rngs.push(rng);
+        self.stats.push(NodeStats {
+            wake,
+            ..NodeStats::default()
+        });
+        self.in_active.push(false);
+        self.air.push(None);
+        if !self.pending.is_empty() {
+            self.pending.push(None);
+        }
+        let m = self.members.len();
+        self.behaviors.grow(m);
+        self.decided.grow(m);
+        self.acc.grow(m);
+        self.undecided += 1;
+        (m - 1) as u32
+    }
+
+    // ---- membership changes, between slots; rare, so out of line -----
+
+    /// Admits member `id` running `protocol` on the private stream
+    /// `rng`, asleep until `wake` (not before the next slot). Returns
+    /// its local index: a slot vacated by [`evict`](Self::evict) if
+    /// there is one, else a new one.
+    #[inline(never)]
+    pub fn admit(&mut self, id: NodeId, protocol: P, rng: SmallRng, wake: Slot) -> u32 {
+        let Some(l) = self.vacant.pop() else {
+            self.protocols.push(protocol);
+            let l = self.push(id, rng, wake);
+            self.schedule(l);
+            return l;
+        };
+        self.members[l as usize] = id;
+        self.undecided += 1;
+        self.restart(l, protocol, rng, wake);
+        l
+    }
+
+    /// Evicts member `l`: from now on it is never drawn, woken, touched
+    /// or counted, and its slot is free for the next
+    /// [`admit`](Self::admit). Returns its counters.
+    #[inline(never)]
+    pub fn evict(&mut self, l: u32) -> NodeStats {
+        if !self.disarm(l) {
+            self.undecided -= 1;
+        }
+        let li = l as usize;
+        self.members[li] = VACANT;
+        self.air[li] = None;
+        self.vacant.push(l);
+        std::mem::take(&mut self.stats[li])
+    }
+
+    /// Restarts member `l` as a fresh node: `protocol` on the stream
+    /// `rng`, asleep (neither drawing nor receiving) until `wake` (not
+    /// before the next slot). It counts as undecided again; its traffic
+    /// counters carry over.
+    #[inline(never)]
+    pub fn restart(&mut self, l: u32, protocol: P, rng: SmallRng, wake: Slot) {
+        if self.disarm(l) {
+            self.undecided += 1;
+        }
+        let li = l as usize;
+        self.protocols[li] = protocol;
+        self.rngs[li] = rng;
+        self.stats[li].wake = wake;
+        self.stats[li].decided_at = None;
+        self.schedule(l);
+    }
+
+    /// Puts member `l` to sleep and out of the wake queue, and clears
+    /// its decided flag, returning it. The next compaction drops `l`
+    /// from the active set.
+    fn disarm(&mut self, l: u32) -> bool {
+        let li = l as usize;
+        if !self.behaviors.present.contains(li) {
+            let queued = &mut self.wake_order;
+            if let Some(at) = queued[self.next_wake..].iter().position(|&m| m == l) {
+                queued.remove(self.next_wake + at);
+            }
+        }
+        // Asleep and silent: no hook, draw or reception reaches `l`.
+        self.behaviors.present.remove(li);
+        self.behaviors.transmit.remove(li);
+        self.retiring = true;
+        let decided = self.decided.contains(li);
+        self.decided.remove(li);
+        decided
+    }
+
+    /// Queues member `l` to wake at `stats[l].wake`, after the queued
+    /// members due no later, and drops the queue's woken prefix.
+    fn schedule(&mut self, l: u32) {
+        self.wake_order.drain(..self.next_wake);
+        self.next_wake = 0;
+        let stats = &self.stats;
+        let wake = stats[l as usize].wake;
+        let at = self
+            .wake_order
+            .partition_point(|&m| stats[m as usize].wake <= wake);
+        self.wake_order.insert(at, l);
+    }
+
     // ---- accessors -----------------------------------------------------
 
     /// Protocol state per member.
     pub fn protocols(&self) -> &[P] {
         &self.protocols
+    }
+
+    /// Counters per member; a vacated slot's are zero.
+    pub fn stats(&self) -> &[NodeStats] {
+        &self.stats
+    }
+
+    /// The current members as `(local index, global id)`, by local
+    /// index (vacated slots skipped).
+    pub fn live(&self) -> impl Iterator<Item = (u32, NodeId)> + '_ {
+        (0..)
+            .zip(self.members.iter().copied())
+            .filter(|&(_, g)| g != VACANT)
     }
 
     /// Member `l`'s current behavior segment (`None` before wake-up).
@@ -478,9 +616,9 @@ impl<P: RadioProtocol> SlotKernel<P> {
 
     // ---- the four phases -----------------------------------------------
 
-    /// Phase 1: wakes every member due at `slot` (ascending id among
-    /// equal wake slots) into the active set. Slots must be visited in
-    /// order from 0. `false` once the kernel has an error.
+    /// Phase 1: wakes every member due at `slot` (in wake-queue order)
+    /// into the active set. Slots must be visited in order from 0.
+    /// `false` once the kernel has an error.
     pub fn wake_phase<M: InvariantMonitor<P>>(&mut self, slot: Slot, monitor: &mut M) -> bool {
         if self.error.is_some() {
             return false;
@@ -567,20 +705,20 @@ impl<P: RadioProtocol> SlotKernel<P> {
     }
 
     /// Scatters the slot's transmissions, in draw order, to the
-    /// transmitters' neighbors: `local(v)` maps a neighbor to its local
-    /// index if it is a member; any other neighbor is handed to
-    /// `remote(listener, sender, msg)` (the sharded driver's boundary
+    /// transmitters' `neighbors(global id)`: `local(v)` maps a neighbor
+    /// to its local index if it is a member; any other neighbor is
+    /// handed to `remote(listener, sender, msg)` (the shards' boundary
     /// mailboxes). A whole-graph kernel passes `Some` and a no-op.
     #[inline]
-    pub fn scatter(
+    pub fn scatter<'g>(
         &mut self,
-        graph: &Graph,
+        neighbors: impl Fn(NodeId) -> &'g [NodeId],
         local: impl Fn(NodeId) -> Option<u32>,
         mut remote: impl FnMut(NodeId, NodeId, &P::Message),
     ) {
         for &t in &self.txs {
             let g = self.members[t as usize];
-            for &u in graph.neighbors(g) {
+            for &u in neighbors(g) {
                 match local(u) {
                     Some(lu) => {
                         self.acc.add(lu, g);
@@ -599,7 +737,7 @@ impl<P: RadioProtocol> SlotKernel<P> {
     /// accumulator. The first contribution's message is kept: local
     /// contributions are scattered before the merge, so if the slot's
     /// unique winner is remote, this is its message.
-    pub(crate) fn inbound(&mut self, lu: u32, sender: NodeId, msg: P::Message) {
+    pub fn inbound(&mut self, lu: u32, sender: NodeId, msg: P::Message) {
         if self.acc.add(lu, sender) {
             if self.pending.is_empty() {
                 self.pending = std::iter::repeat_with(|| None)
@@ -655,18 +793,21 @@ impl<P: RadioProtocol> SlotKernel<P> {
         true
     }
 
-    /// End-of-slot compaction: drops retired members from the active
-    /// set. They draw no randomness and never transmit, so removal
-    /// cannot change any outcome — it only shrinks the per-slot loops.
-    /// Runs only after a slot in which a member may have retired.
+    /// End-of-slot compaction: drops retired and asleep (evicted or
+    /// restarted) members from the active set. They draw no randomness
+    /// and never transmit, so removal cannot change any outcome — it
+    /// only shrinks the per-slot loops. Runs only after a slot in which
+    /// a member may have left.
     pub fn compact(&mut self) {
         if !std::mem::take(&mut self.retiring) {
             return;
         }
         let (behaviors, decided, in_active) = (&self.behaviors, &self.decided, &mut self.in_active);
         self.active.retain(|&l| {
-            let keep = !(decided.contains(l as usize) && behaviors.silent_forever(l));
-            in_active[l as usize] = keep;
+            let li = l as usize;
+            let keep = behaviors.present.contains(li)
+                && !(decided.contains(li) && behaviors.silent_forever(l));
+            in_active[li] = keep;
             keep
         });
     }
@@ -675,7 +816,271 @@ impl<P: RadioProtocol> SlotKernel<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::Ideal;
+    use crate::monitor::NullMonitor;
+    use radio_graph::generators::gnp;
+    use radio_graph::Graph;
     use rand::{Rng, SeedableRng};
+
+    const SEED: u64 = 0x4D3B;
+
+    /// A probe's part in a run.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Role {
+        /// Random transmit and silent segments switched by deadlines.
+        Mixed,
+        /// Silent for good from wake-up.
+        Listener,
+        /// Transmits with p = 1 for good.
+        Beacon,
+    }
+
+    /// Decides on its `need`-th reception and retires. Counts its
+    /// callbacks and hashes what it draws and hears, so any drift in the
+    /// kernel's use of it shows.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Probe {
+        id: u32,
+        role: Role,
+        need: u64,
+        heard: u64,
+        calls: u64,
+        hash: u64,
+        first_draw: Option<u64>,
+    }
+
+    impl Probe {
+        fn new(id: u32, role: Role, need: u64) -> Self {
+            Probe {
+                id,
+                role,
+                need,
+                heard: 0,
+                calls: 0,
+                hash: 0,
+                first_draw: None,
+            }
+        }
+
+        fn segment(&self, now: Slot, rng: &mut SmallRng) -> Behavior {
+            match self.role {
+                Role::Mixed => Behavior::Transmit {
+                    p: rng.gen_range(0.1..0.6),
+                    until: Some(now + rng.gen_range(1..6)),
+                },
+                Role::Listener => Behavior::Silent { until: None },
+                Role::Beacon => Behavior::Transmit {
+                    p: 1.0,
+                    until: None,
+                },
+            }
+        }
+    }
+
+    impl RadioProtocol for Probe {
+        type Message = u32;
+
+        fn on_wake(&mut self, now: Slot, rng: &mut SmallRng) -> Behavior {
+            self.calls += 1;
+            self.first_draw = Some(rng.gen());
+            self.segment(now, rng)
+        }
+
+        fn on_deadline(&mut self, now: Slot, rng: &mut SmallRng) -> Behavior {
+            self.calls += 1;
+            if rng.gen_bool(0.5) {
+                Behavior::Silent {
+                    until: Some(now + rng.gen_range(1..4)),
+                }
+            } else {
+                self.segment(now, rng)
+            }
+        }
+
+        fn message(&mut self, _now: Slot, rng: &mut SmallRng) -> u32 {
+            self.calls += 1;
+            self.id ^ (rng.gen_range(0..256) << 16)
+        }
+
+        fn on_receive(&mut self, _now: Slot, msg: &u32, _rng: &mut SmallRng) -> Option<Behavior> {
+            self.calls += 1;
+            self.heard += 1;
+            self.hash = (self.hash ^ u64::from(*msg)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (self.heard == self.need).then_some(Behavior::Silent { until: None })
+        }
+
+        fn is_decided(&self) -> bool {
+            self.heard >= self.need
+        }
+    }
+
+    /// One lock-step slot over `k`, whose members `local` maps by id.
+    fn slot(k: &mut SlotKernel<Probe>, g: &Graph, local: &[Option<u32>], now: Slot) {
+        let m = &mut NullMonitor;
+        if k.wake_phase(now, m)
+            && k.deadline_phase(now, m)
+            && k.transmit_phase(now, |_, t, rng| bernoulli(t, rng), m)
+        {
+            k.scatter(|v| g.neighbors(v), |v| local[v as usize], |_, _, _| {});
+            k.deliver_phase(now, &mut Ideal, |v| local[v as usize], m);
+        }
+        k.compact();
+    }
+
+    /// Every member's id, protocol state and counters, by id.
+    fn outcome(k: &SlotKernel<Probe>) -> Vec<(NodeId, Probe, NodeStats)> {
+        let mut rows: Vec<_> = k
+            .live()
+            .map(|(l, g)| (g, k.protocols[l as usize].clone(), k.stats[l as usize]))
+            .collect();
+        rows.sort_by_key(|r| r.0);
+        rows
+    }
+
+    /// Admitting every member at the boundary before its wake slot, in
+    /// any order, runs the same as building the kernel over all of them.
+    #[test]
+    fn admitting_at_wake_slots_matches_new() {
+        let mut rng = SmallRng::seed_from_u64(SEED);
+        let n = 32;
+        let g = gnp(n, 0.25, &mut rng);
+        let wake: Vec<Slot> = (0..n).map(|_| rng.gen_range(0..12)).collect();
+        let ids: Vec<NodeId> = (0..n as NodeId).collect();
+        let protos = ids.iter().map(|&v| Probe::new(v, Role::Mixed, 3)).collect();
+        let mut whole = SlotKernel::new(ids.clone(), protos, &wake, SEED);
+        let all: Vec<Option<u32>> = ids.iter().map(|&v| Some(v)).collect();
+        let mut grown = SlotKernel::empty();
+        let mut local = vec![None; n];
+        for now in 0..400 {
+            // Descending ids, so local indices differ from global ones.
+            for v in ids.iter().rev().filter(|&&v| wake[v as usize] == now) {
+                let rng = node_rng(SEED, *v);
+                let l = grown.admit(*v, Probe::new(*v, Role::Mixed, 3), rng, now);
+                local[*v as usize] = Some(l);
+            }
+            slot(&mut whole, &g, &all, now);
+            slot(&mut grown, &g, &local, now);
+        }
+        let out = outcome(&whole);
+        assert!(out.iter().any(|r| r.2.decided_at.is_some()), "trivial run");
+        assert!(out.iter().any(|r| r.2.collisions > 0), "no contention");
+        assert_eq!(out, outcome(&grown));
+        assert_eq!(whole.undecided(), grown.undecided());
+        assert_ne!(local, all, "local indices are not the ids");
+    }
+
+    /// Beacons 1 and 2 flank listener 0 (a collision every awake slot);
+    /// beacon 1 alone reaches listener 3 (a reception every awake slot).
+    fn flanked() -> (Graph, SlotKernel<Probe>) {
+        let g = Graph::from_edges(4, [(0, 1), (0, 2), (1, 3)]);
+        let protos = vec![
+            Probe::new(0, Role::Listener, u64::MAX),
+            Probe::new(1, Role::Beacon, u64::MAX),
+            Probe::new(2, Role::Beacon, u64::MAX),
+            Probe::new(3, Role::Listener, 2),
+        ];
+        (g, SlotKernel::whole(protos, &[0; 4], SEED))
+    }
+
+    #[test]
+    fn restarted_member_sleeps_through_its_restart_slot() {
+        let (g, mut k) = flanked();
+        let local: Vec<Option<u32>> = (0..4).map(Some).collect();
+        for now in 0..5 {
+            slot(&mut k, &g, &local, now);
+        }
+        assert_eq!(k.stats[0].collisions, 5);
+        assert_eq!(k.stats[3].received, 5);
+        assert_eq!(k.undecided(), 3, "listener 3 decided");
+        let before = (k.stats[0], k.stats[3]);
+
+        // Restart both listeners between slots 4 and 5, waking at 6.
+        let listener = |id, need| Probe::new(id, Role::Listener, need);
+        k.restart(0, listener(0, u64::MAX), node_rng(SEED, 100), 6);
+        k.restart(3, listener(3, 2), SmallRng::seed_from_u64(77), 6);
+        assert_eq!(k.undecided(), 4, "3 is undecided again");
+        slot(&mut k, &g, &local, 5);
+        assert_eq!((k.stats[0].collisions, k.stats[3].received), (5, 5));
+        assert_eq!(k.protocols[3].calls, 0, "no callback in slot 5");
+        assert_eq!(k.stats[3].decided_at, None);
+
+        slot(&mut k, &g, &local, 6);
+        let first = SmallRng::seed_from_u64(77).gen::<u64>();
+        assert_eq!(k.protocols[3].first_draw, Some(first), "new stream");
+        assert_eq!(k.stats[0].collisions, before.0.collisions + 1);
+        assert_eq!(k.stats[3].received, before.1.received + 1);
+        assert_eq!(k.stats[3].wake, 6);
+        slot(&mut k, &g, &local, 7);
+        assert_eq!(k.undecided(), 3, "3 decided again");
+        assert_eq!(k.stats[3].decided_at, Some(7));
+    }
+
+    #[test]
+    fn evicted_member_is_never_drawn_touched_or_counted() {
+        let (g, mut k) = flanked();
+        let mut local: Vec<Option<u32>> = (0..4).map(Some).collect();
+        for now in 0..3 {
+            slot(&mut k, &g, &local, now);
+        }
+        // Node 4 joins beside listener 3, due at slot 6, and leaves
+        // before it wakes; beacon 1 leaves while transmitting.
+        let g = Graph::from_edges(5, [(0, 1), (0, 2), (1, 3), (3, 4)]);
+        let l4 = k.admit(
+            4,
+            Probe::new(4, Role::Beacon, u64::MAX),
+            node_rng(SEED, 4),
+            6,
+        );
+        local.push(Some(l4));
+        assert_eq!(k.undecided(), 4, "3 decided; 4 joined");
+        let stats1 = k.evict(1);
+        assert_eq!(stats1.sent, 3);
+        let gone = k.evict(l4);
+        assert_eq!(
+            gone,
+            NodeStats {
+                wake: 6,
+                ..NodeStats::default()
+            }
+        );
+        assert_eq!(k.undecided(), 2);
+        let calls = (k.protocols[1].calls, k.protocols[l4 as usize].calls);
+        // Stale map entries: the kernel must not count them either.
+        for now in 3..10 {
+            slot(&mut k, &g, &local, now);
+        }
+        assert_eq!(
+            (k.protocols[1].calls, k.protocols[l4 as usize].calls),
+            calls,
+            "no callback after eviction"
+        );
+        assert_eq!(k.stats[1], NodeStats::default());
+        assert_eq!(k.stats[l4 as usize], NodeStats::default());
+        assert_eq!(k.stats[3].received, 3, "listener 3 heard only slots 0–2");
+        assert_eq!(k.stats[0].collisions, 3, "0 now hears beacon 2 alone");
+        assert_eq!(k.stats[0].received, 7);
+        assert_eq!(k.live().collect::<Vec<_>>(), [(0, 0), (2, 2), (3, 3)]);
+        assert!(
+            !k.active.contains(&1),
+            "compaction dropped the evicted beacon"
+        );
+
+        // The freed slots are reused, clean, and wake exactly once.
+        let l = k.admit(9, Probe::new(9, Role::Listener, 1), node_rng(SEED, 9), 10);
+        assert_eq!(l, l4, "reuses the last vacated slot");
+        assert_eq!(
+            k.stats[l as usize],
+            NodeStats {
+                wake: 10,
+                ..NodeStats::default()
+            }
+        );
+        assert_eq!(k.undecided(), 3);
+        for now in 10..12 {
+            slot(&mut k, &g, &local, now);
+        }
+        assert_eq!(k.protocols[l as usize].calls, 1, "one wake-up");
+    }
 
     /// The threshold draw must be `gen_bool(p)` bit for bit: the same
     /// answers from the same stream, leaving the stream in the same

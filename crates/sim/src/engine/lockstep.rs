@@ -38,7 +38,7 @@ impl Engine for Lockstep {
             if !ok {
                 break;
             }
-            k.scatter(graph, Some, |_, _, _| {});
+            k.scatter(|v| graph.neighbors(v), Some, |_, _, _| {});
             if !k.deliver_phase(slot, channel, Some, monitor)
                 || k.undecided() == 0
                 || slot == max_slots

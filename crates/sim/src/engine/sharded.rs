@@ -188,7 +188,7 @@ impl<P: RadioProtocol> ShardState<P> {
         }
         let (id, outgoing) = (self.id, &mut self.outgoing);
         self.kernel.scatter(
-            ctx.graph,
+            |v| ctx.graph.neighbors(v),
             |u| ctx.local(id, u),
             |u, g, msg| {
                 // Sleeping remote listeners receive nothing and record

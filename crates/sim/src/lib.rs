@@ -71,7 +71,7 @@ pub use delivery::{DeliveryKernel, OverlapKernel};
 pub use engine::driver::{Completion, Engine, SimDriver};
 pub use engine::event::EventSkip;
 pub use engine::jittered::{random_phases, Jittered};
-pub use engine::kernel::SlotKernel;
+pub use engine::kernel::{bernoulli, SlotKernel};
 pub use engine::lockstep::Lockstep;
 pub use engine::sharded::run_sharded;
 pub use engine::{ExecutedEngine, NodeStats, SimConfig, SimOutcome, MAX_FAULT_LOG};
