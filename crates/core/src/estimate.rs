@@ -35,7 +35,7 @@
 use crate::messages::{ColoringMsg, ProtoId};
 use crate::node::ColoringNode;
 use crate::params::AlgorithmParams;
-use radio_sim::{Behavior, RadioProtocol, Slot};
+use radio_sim::{Behavior, BehaviorFault, RadioProtocol, Slot};
 use rand::rngs::SmallRng;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -463,6 +463,13 @@ impl RadioProtocol for AdaptiveNode {
 
     fn is_decided(&self) -> bool {
         matches!(&self.phase, AdaptivePhase::Coloring(c) if c.is_decided())
+    }
+
+    fn take_breach(&mut self) -> Option<BehaviorFault> {
+        match &mut self.phase {
+            AdaptivePhase::Estimating(e) => e.take_breach(),
+            AdaptivePhase::Coloring(c) => c.take_breach(),
+        }
     }
 }
 

@@ -65,20 +65,20 @@ impl ColoringMsg {
     }
 }
 
-// Wire tags for the transport encoding below. One byte each — the
-// encoded sizes (9–21 bytes) keep the O(log n) message-size claim
-// honest on the real-network path too.
+// Wire tags for the byte encoding below. One byte each — the encoded
+// sizes (9–21 bytes) keep the O(log n) message-size claim honest on a
+// byte wire too.
 const TAG_COMPETE: u8 = 1;
 const TAG_DECIDED: u8 = 2;
 const TAG_ASSIGN: u8 = 3;
 const TAG_REQUEST: u8 = 4;
 
-/// The byte encoding used when a [`ColoringMsg`] crosses a real
-/// transport (loopback or TCP): a one-byte variant tag followed by the
-/// variant's fields in declaration order, fixed-width little-endian.
-/// The simulated engines never serialize (messages move as values), so
-/// this codec cannot perturb simulation results; equivalence tests pin
-/// `decode(encode(m)) == m`.
+/// The byte encoding of a [`ColoringMsg`]: a one-byte variant tag
+/// followed by the variant's fields in declaration order, fixed-width
+/// little-endian. No driver serializes (the slot kernel and `colord`'s
+/// mailboxes move messages as values), so this codec cannot perturb
+/// results; the tests below pin `decode(encode(m)) == m`, and
+/// `tests/transport_equivalence.rs` runs whole colorings through it.
 impl WireMessage for ColoringMsg {
     fn encode(&self, out: &mut FramePayload) {
         match *self {

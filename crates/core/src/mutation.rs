@@ -17,7 +17,7 @@ use crate::invariants::ObservableColoring;
 use crate::messages::{ColoringMsg, ProtoId};
 use crate::node::{ColoringNode, ObservedState};
 use crate::params::AlgorithmParams;
-use radio_sim::{Behavior, RadioProtocol, Slot};
+use radio_sim::{Behavior, BehaviorFault, RadioProtocol, Slot};
 use rand::rngs::SmallRng;
 
 /// Which deviation to inject.
@@ -148,6 +148,10 @@ impl RadioProtocol for MutatedNode {
 
     fn is_decided(&self) -> bool {
         self.hijacked || self.inner.is_decided()
+    }
+
+    fn take_breach(&mut self) -> Option<BehaviorFault> {
+        self.inner.take_breach()
     }
 }
 

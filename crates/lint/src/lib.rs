@@ -13,15 +13,17 @@
 //! | R5   | `transition-table` | `LEGAL_TRANSITIONS`, `node.rs` and `invariants.rs` agree on the Fig. 2 edge set |
 //! | R6   | `service-ambient-rng` | `crates/{transport,colord}` may read the wall clock (real servers pace in seconds) but still may not use ambient RNG |
 //! | R7   | `shard-phase`      | shard-parallel code (the sharded engine and colord's shard/router) touches cross-shard state only in `phase_*` functions, behind `Mutex`/atomics, with the 6/2 engine barrier schedule and colord's 3-wait worker loop |
-//! | R8   | `hook-order`       | the two slot loops (the slot kernel, reached through `lockstep::drive`, and `pump_node`) fire hooks in the same event-class order |
 //! | R9   | `wire-exhaustive`  | wire enums are covered in `encode`, `decode` and the colord dispatch; `EventKind` variants each have a producer and consumer |
 //! | R10  | `interior-mutability` | no `Cell`/`RefCell`/`unsafe`/`static mut` in shard-parallel code (engine + colord shard/router) or in types reachable from its state |
 //!
-//! R1–R3, R6 and W0 are per-line token rules ([`rules`]). R4 and
-//! R7–R10 are semantic: they run over an item-level parse of every
+//! R1–R3, R6 and W0 are per-line token rules ([`rules`]). R4, R7, R9
+//! and R10 are semantic: they run over an item-level parse of every
 //! scanned file ([`parse`]) joined by an intra-crate call graph
-//! ([`graph`]), so delegation across files counts and hook sequences
-//! can be extracted from the slot loops themselves ([`semantic`]).
+//! ([`graph`]), so delegation across files counts ([`semantic`]).
+//!
+//! R8 (`hook-order`) is retired: it compared the hook order of two slot
+//! loops, and the slot kernel is now the only one. Its ID is not
+//! reused.
 //!
 //! R1 and R6 partition the scanned tree: simulation crates get the
 //! full ambient ban, real-network service crates get only its RNG
@@ -44,7 +46,6 @@ pub mod semantic;
 
 pub use graph::{CallGraph, ParsedFile};
 pub use rules::{Diagnostic, Rule, Waiver};
-pub use semantic::HookSequence;
 
 use lexer::{strip_test_code, tokenize};
 use rules::{comment_facts, Marker};
@@ -61,7 +62,8 @@ pub struct Report {
     pub waivers: Vec<Waiver>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Per-rule wall time in milliseconds, in `R1`…`R10`, `W0` order.
+    /// Per-rule wall time in milliseconds, in report order (`R1`…`R10`
+    /// without the retired R8, then `W0`).
     /// Rules skipped by [`LintOptions::only`] report `0.0`.
     pub timings_ms: Vec<(&'static str, f64)>,
 }
@@ -95,7 +97,6 @@ const ALL_RULES: &[Rule] = &[
     Rule::TransitionTable,
     Rule::ServiceAmbientRng,
     Rule::ShardPhase,
-    Rule::HookOrder,
     Rule::WireExhaustive,
     Rule::InteriorMutability,
     Rule::WaiverSyntax,
@@ -230,9 +231,6 @@ pub fn run_lint_with(root: &Path, options: &LintOptions) -> io::Result<Report> {
             semantic::check_shard_phase(graph.files())
         }));
     }
-    if enabled(Rule::HookOrder) {
-        violations.extend(timings.timed(Rule::HookOrder, || semantic::check_hook_order(&graph)));
-    }
     if enabled(Rule::WireExhaustive) {
         violations.extend(timings.timed(Rule::WireExhaustive, || {
             semantic::check_wire_exhaustive(graph.files())
@@ -265,16 +263,6 @@ pub fn run_lint_with(root: &Path, options: &LintOptions) -> io::Result<Report> {
         files_scanned: parsed.len(),
         timings_ms: timings.ms,
     })
-}
-
-/// The R8 hook-class sequences of the slot loops present under
-/// `root`, extracted through the same scan + parse pipeline
-/// [`run_lint`] uses. The self-check test asserts both are present
-/// and equal on the real workspace.
-pub fn hook_order_sequences(root: &Path) -> io::Result<Vec<HookSequence>> {
-    let parsed = parse_workspace(root)?;
-    let graph = CallGraph::build(&parsed);
-    Ok(semantic::hook_sequences(&graph))
 }
 
 /// Reads, tokenizes, test-strips and item-parses every scanned file.

@@ -38,10 +38,6 @@ pub enum Rule {
     /// schedule keeps the documented 6-wait monitored / 2-wait
     /// unmonitored shape in both slot loops.
     ShardPhase,
-    /// R8: the two slot loops (the slot kernel, reached through
-    /// `lockstep::drive`, and `pump_node`) fire monitor/channel hooks
-    /// in the same event-class order.
-    HookOrder,
     /// R9: every wire-enum variant is covered in `encode`, `decode`,
     /// and the colord server dispatch; `EventKind` variants each have
     /// a producer and a consumer.
@@ -65,7 +61,6 @@ impl Rule {
             Rule::TransitionTable => "R5",
             Rule::ServiceAmbientRng => "R6",
             Rule::ShardPhase => "R7",
-            Rule::HookOrder => "R8",
             Rule::WireExhaustive => "R9",
             Rule::InteriorMutability => "R10",
             Rule::WaiverSyntax => "W0",
@@ -82,7 +77,6 @@ impl Rule {
             Rule::TransitionTable => "transition-table",
             Rule::ServiceAmbientRng => "service-ambient-rng",
             Rule::ShardPhase => "shard-phase",
-            Rule::HookOrder => "hook-order",
             Rule::WireExhaustive => "wire-exhaustive",
             Rule::InteriorMutability => "interior-mutability",
             Rule::WaiverSyntax => "waiver-syntax",
@@ -99,7 +93,6 @@ impl Rule {
             Rule::TransitionTable,
             Rule::ServiceAmbientRng,
             Rule::ShardPhase,
-            Rule::HookOrder,
             Rule::WireExhaustive,
             Rule::InteriorMutability,
             Rule::WaiverSyntax,

@@ -1,12 +1,12 @@
-//! Semantic rules: R7 shard-phase discipline, R8 hook-order
-//! conformance, R9 wire exhaustiveness, R10 interior-mutability, and
-//! the call-graph-aware R4 hook-parity check.
+//! Semantic rules: R7 shard-phase discipline, R9 wire exhaustiveness,
+//! R10 interior-mutability, and the call-graph-aware R4 hook-parity
+//! check.
 //!
 //! Unlike the per-line rules in [`crate::rules`], these run over the
 //! whole parsed file set at once: they need item structure
 //! ([`crate::parse`]) and cross-file resolution ([`crate::graph`]).
 
-use crate::graph::{calls_in, CallGraph, ParsedFile};
+use crate::graph::{CallGraph, ParsedFile};
 use crate::lexer::TokKind;
 use crate::rules::{Diagnostic, Rule};
 use std::collections::{BTreeMap, BTreeSet};
@@ -394,154 +394,6 @@ fn count_waits(toks: &[crate::lexer::Tok], span: &[usize]) -> usize {
                 && span.get(k + 1).is_some_and(|&n| toks[n].is_punct('('))
         })
         .count()
-}
-
-// ---------------------------------------------------------------------------
-// R8 — hook-order conformance across the slot loops.
-// ---------------------------------------------------------------------------
-
-/// The slot loops whose monitor/channel hook order must agree: the
-/// slot kernel (which the sharded driver and the model checker's
-/// stepper also run), reached through the lock-step engine, and the
-/// transport pump.
-pub const HOOK_ROOTS: &[(&str, &str)] = &[
-    ("crates/sim/src/engine/lockstep.rs", "drive"),
-    ("crates/transport/src/pump.rs", "pump_node"),
-];
-
-/// Hook names grouped into the four intra-slot event classes. The
-/// paired entries (`on_*` callback + `after_*` / monitor mirror)
-/// collapse into one class, so a driver without a monitor layer
-/// produces the same sequence as one with it.
-const HOOK_CLASSES: &[(&str, &str)] = &[
-    ("on_wake", "Wake"),
-    ("after_wake", "Wake"),
-    ("on_deadline", "Deadline"),
-    ("after_deadline", "Deadline"),
-    ("message", "Transmit"),
-    ("on_transmit", "Transmit"),
-    ("on_receive", "Receive"),
-    ("after_receive", "Receive"),
-];
-
-/// Hooks outside the per-slot event classes: decision notification is
-/// driven by state, not slot phase, so its position is not conformed.
-const IGNORED_HOOKS: &[&str] = &["on_decided"];
-
-/// One slot loop's extracted hook-class sequence.
-#[derive(Clone, Debug)]
-pub struct HookSequence {
-    /// File declaring the root function.
-    pub file: String,
-    /// The root function's name.
-    pub fn_name: String,
-    /// Line of the root function.
-    pub line: u32,
-    /// Collapsed event-class sequence, in call order.
-    pub classes: Vec<&'static str>,
-}
-
-fn hook_class(name: &str) -> Option<&'static str> {
-    HOOK_CLASSES
-        .iter()
-        .find(|(h, _)| *h == name)
-        .map(|&(_, c)| c)
-}
-
-/// Extracts the hook-class sequence reachable from each present
-/// [`HOOK_ROOTS`] entry, in root order. Hooks are terminal (a call to
-/// `on_receive` is recorded, never expanded into the protocol's own
-/// body); other same-crate calls are walked depth-first in token
-/// order; consecutive duplicate classes collapse.
-pub fn hook_sequences(graph: &CallGraph<'_>) -> Vec<HookSequence> {
-    let files = graph.files();
-    let mut out = Vec::new();
-    for &(rel, fn_name) in HOOK_ROOTS {
-        let Some(fi) = file_index(files, rel) else {
-            continue;
-        };
-        let Some(ni) = files[fi].items.fn_named(fn_name) else {
-            continue;
-        };
-        let mut classes = Vec::new();
-        let mut path = Vec::new();
-        walk_sequence(graph, (fi, ni), &mut path, &mut classes);
-        classes.dedup();
-        out.push(HookSequence {
-            file: rel.to_string(),
-            fn_name: fn_name.to_string(),
-            line: files[fi].items.fns[ni].line,
-            classes,
-        });
-    }
-    out
-}
-
-fn walk_sequence(
-    graph: &CallGraph<'_>,
-    at: (usize, usize),
-    path: &mut Vec<(usize, usize)>,
-    out: &mut Vec<&'static str>,
-) {
-    if path.contains(&at) || path.len() > 24 {
-        return;
-    }
-    let file = &graph.files()[at.0];
-    let Some(body) = file.items.fns[at.1].body else {
-        return;
-    };
-    path.push(at);
-    for (_, name) in calls_in(&file.toks, body) {
-        if let Some(class) = hook_class(&name) {
-            out.push(class);
-            continue;
-        }
-        if IGNORED_HOOKS.contains(&name.as_str()) {
-            continue;
-        }
-        if let Some(target) = graph.resolve(at.0, &name) {
-            walk_sequence(graph, target, path, out);
-        }
-    }
-    path.pop();
-}
-
-/// R8: the hook-class sequences of all present slot loops must be
-/// equal (the first present root is the reference).
-pub fn check_hook_order(graph: &CallGraph<'_>) -> Vec<Diagnostic> {
-    let files = graph.files();
-    let mut out = Vec::new();
-    for &(rel, fn_name) in HOOK_ROOTS {
-        if let Some(fi) = file_index(files, rel) {
-            if files[fi].items.fn_named(fn_name).is_none() {
-                out.push(diag(
-                    rel,
-                    1,
-                    Rule::HookOrder,
-                    format!("slot-loop root `fn {fn_name}` not found in this file"),
-                ));
-            }
-        }
-    }
-    let seqs = hook_sequences(graph);
-    if let Some((reference, rest)) = seqs.split_first() {
-        for s in rest {
-            if s.classes != reference.classes {
-                out.push(diag(
-                    &s.file,
-                    s.line,
-                    Rule::HookOrder,
-                    format!(
-                        "`{}` drives hooks as {:?}, but `{}::{}` drives them \
-                         as {:?} — the slot loops must fire the same \
-                         event-class sequence",
-                        s.fn_name, s.classes, reference.file, reference.fn_name, reference.classes
-                    ),
-                ));
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------

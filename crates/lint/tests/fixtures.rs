@@ -1,9 +1,9 @@
 //! Runs the linter over the red/green fixture corpora under
 //! `tests/fixtures/` and pins the exact per-rule outcome. Each rule
-//! R1–R10 has at least one red (violations) and one green (clean)
-//! fixture; the corpora mirror real workspace-relative paths so the
-//! scope logic (and the path-anchored semantic rules R7–R9) in
-//! `run_lint` is exercised identically.
+//! R1–R10 (R8 is retired) has at least one red (violations) and one
+//! green (clean) fixture; the corpora mirror real workspace-relative
+//! paths so the scope logic (and the path-anchored semantic rules R7
+//! and R9) in `run_lint` is exercised identically.
 
 use radio_lint::{run_lint, Rule};
 use std::path::PathBuf;
@@ -31,11 +31,10 @@ fn clean_corpus_is_green() {
     // back green: the R1/R6 scope split (not a waiver) is what lets
     // service code read the wall clock. The corpus also carries green
     // anchors for the semantic rules: a disciplined `engine/sharded.rs`
-    // (R7/R10), the two conforming slot loops (R8), and a fully
-    // covered wire enum + dispatch + event kinds (R9), and a
-    // disciplined colord shard worker + router (the R7/R10 anchors
-    // added with the sharded service).
-    assert_eq!(report.files_scanned, 14, "full green corpus in scope");
+    // (R7/R10), a fully covered wire enum + dispatch + event kinds
+    // (R9), and a disciplined colord shard worker + router (the R7/R10
+    // anchors added with the sharded service).
+    assert_eq!(report.files_scanned, 12, "full green corpus in scope");
     // The one deliberate, justified waiver in `engine/good.rs` — it
     // both proves waiver application suppresses a real finding and
     // that waivers are counted.
@@ -74,9 +73,6 @@ fn violation_corpus_is_red_per_rule() {
     // write + raw read in `phase_commit`, and a 2-wait `worker_loop`
     // against the documented 3-wait schedule.
     assert_eq!(count(&report, Rule::ShardPhase), 11);
-    // R8: `transport/src/pump.rs` delivers before it transmits,
-    // against the lockstep reference.
-    assert_eq!(count(&report, Rule::HookOrder), 1);
     // R9: `decode` hole in `colord/src/wire.rs`, a dropped variant in
     // the server dispatch, and a consumer-less `EventKind::Tx`.
     assert_eq!(count(&report, Rule::WireExhaustive), 3);

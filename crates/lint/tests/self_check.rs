@@ -1,12 +1,11 @@
 //! The linter's own dogfood gate: the real workspace must be
 //! lint-clean at exactly the committed waiver budget, and the
-//! semantic rules must be demonstrably *engaged* — R8's two hook
-//! sequences extracted and equal, R7/R9/R10 anchored on files that
-//! exist. This is the same check `ci.sh` runs via the binary, kept as
-//! a test so plain `cargo test` catches regressions without invoking
-//! the CLI.
+//! semantic rules must be demonstrably *engaged* — R7/R9/R10 anchored
+//! on files that exist. This is the same check `ci.sh` runs via the
+//! binary, kept as a test so plain `cargo test` catches regressions
+//! without invoking the CLI.
 
-use radio_lint::{hook_order_sequences, run_lint, run_lint_with, LintOptions, Rule};
+use radio_lint::{run_lint, run_lint_with, LintOptions, Rule};
 use std::path::PathBuf;
 
 /// Must match `EXPECTED_WAIVERS` in `src/main.rs`.
@@ -40,32 +39,10 @@ fn workspace_is_lint_clean() {
         "waiver count drifted — update the budget (with justification) in \
          crates/lint/src/main.rs AND crates/lint/tests/self_check.rs"
     );
-    // Every rule reports a wall-time entry (R1..R10 + W0).
-    assert_eq!(report.timings_ms.len(), 11);
+    // Every rule reports a wall-time entry (R1..R10 without the
+    // retired R8, + W0).
+    assert_eq!(report.timings_ms.len(), 10);
     assert!(report.timings_ms.iter().any(|(id, _)| *id == "R7"));
-}
-
-/// R8 is only meaningful if both slot loops were actually found and
-/// walked: the slot kernel through `lockstep.rs::drive`, and
-/// `pump_node`. The sequences must exist, be non-trivial, and agree.
-#[test]
-fn hook_sequences_extracted_and_equal() {
-    let seqs = hook_order_sequences(&workspace_root()).expect("scan workspace");
-    assert_eq!(
-        seqs.len(),
-        2,
-        "expected the lockstep kernel and pump slot loops, got: {:?}",
-        seqs.iter().map(|s| &s.file).collect::<Vec<_>>()
-    );
-    for s in &seqs {
-        assert_eq!(
-            s.classes,
-            ["Wake", "Deadline", "Transmit", "Receive"],
-            "`{}::{}` drives hooks out of order",
-            s.file,
-            s.fn_name
-        );
-    }
 }
 
 /// `--only` narrows the report to one rule without breaking the scan.

@@ -11,9 +11,9 @@
 //!   and it checks every observed abstract edge against the legality
 //!   table while accumulating the covered edge set.
 //! * [`Projected`] wraps a protocol *inside itself*, recording the
-//!   projection from the node's own callbacks. It needs no monitor
-//!   seam at all, which is what lets the transport loopback runs (one
-//!   thread per node, no engine) project the same machine.
+//!   projection from the node's own callbacks, so it needs no monitor
+//!   seam; it forwards the wrapped node's contract breaches to the
+//!   driver.
 //!
 //! Both record an edge at every observation, including self-loops —
 //! a `Colored` node beaconing its class observes `Colored → Colored`,
@@ -21,7 +21,7 @@
 //! coverage.
 
 use radio_graph::NodeId;
-use radio_sim::{Behavior, InvariantMonitor, Slot, Violation, MAX_VIOLATIONS};
+use radio_sim::{Behavior, BehaviorFault, InvariantMonitor, Slot, Violation, MAX_VIOLATIONS};
 use rand::rngs::SmallRng;
 use std::collections::BTreeSet;
 use urn_coloring::messages::{ColoringMsg, ProtoId};
@@ -120,8 +120,8 @@ impl<P: ObservableColoring> InvariantMonitor<P> for ProjectionMonitor {
 /// delegates to the inner protocol, then records the abstract edge the
 /// callback produced. Where [`ProjectionMonitor`] watches from the
 /// engine's side of the hook seam, `Projected` watches from the
-/// protocol's side — so it also works under drivers with no monitor
-/// seam at all (the transport loopback pump).
+/// protocol's side, with no monitor attached. Breaches of the inner
+/// protocol are forwarded through `take_breach`.
 #[derive(Clone, Debug)]
 pub struct Projected<P> {
     inner: P,
@@ -196,6 +196,10 @@ impl<P: ObservableColoring> radio_sim::RadioProtocol for Projected<P> {
 
     fn is_decided(&self) -> bool {
         self.inner.is_decided()
+    }
+
+    fn take_breach(&mut self) -> Option<BehaviorFault> {
+        self.inner.take_breach()
     }
 }
 

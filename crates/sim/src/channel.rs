@@ -66,9 +66,9 @@ use crate::protocol::Slot;
 use crate::rng::splitmix64;
 use radio_graph::NodeId;
 
-// The (listener, slot) observation vocabulary is shared with the
-// non-simulated media and lives in the transport crate; the historical
-// `radio_sim::channel::{Contention, Reception}` paths keep working.
+// The (listener, slot) observation vocabulary lives in the transport
+// crate; the historical `radio_sim::channel::{Contention, Reception}`
+// paths keep working.
 pub use radio_transport::medium::{Contention, Reception};
 
 /// The reception decision, pluggable per run.

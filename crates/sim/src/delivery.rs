@@ -42,11 +42,11 @@ use radio_graph::{Graph, NodeId};
 /// Scatter-accumulate delivery: per-listener transmitter counts for one
 /// slot, over a member set indexed by *local* index.
 ///
-/// Every aligned-slot path uses it: the lock-step kernel and the
-/// event-driven engine over the whole graph (local index = node id),
-/// and each shard of the sharded driver over its own members (dense
-/// local indices, so a shard touches only its own cache-resident
-/// arrays). Senders are always *global* ids — a shard's winner may
+/// Every aligned-slot path uses it through the slot kernel: the
+/// whole-graph kernel the lock-step and event-driven engines step
+/// (local index = node id), and each shard of the sharded driver over
+/// its own members (dense local indices, so a shard touches only its
+/// own cache-resident arrays). Senders are always *global* ids — a shard's winner may
 /// live in another shard, reaching it through the boundary exchange.
 ///
 /// Per slot: call [`begin_slot`](Self::begin_slot) once, then

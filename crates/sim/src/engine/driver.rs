@@ -14,19 +14,23 @@
 //!
 //! An [`Engine`] is only a *slot-advance strategy*: a unit struct whose
 //! [`drive`](Engine::drive) owns nothing but engine-local scheduling
-//! state (an event heap, a packet queue) and calls back into the driver
-//! for every semantic step — or, for [`Lockstep`](super::lockstep::Lockstep),
-//! runs the kernel's four phases directly. The hook stack every run
-//! goes through is:
+//! state (an event heap, a packet queue). The aligned engines step the
+//! kernel itself: [`Lockstep`](super::lockstep::Lockstep) runs its four
+//! phases, [`EventSkip`](super::event::EventSkip) picks the slot's
+//! wake-ups, deadlines and transmitters from its heap and hands them to
+//! the kernel's hooks, then runs the kernel's scatter and delivery
+//! phase. [`Jittered`](super::jittered::Jittered), whose half-slot
+//! packets straddle slots, calls back into the driver for every
+//! semantic step. The hook stack every run goes through is:
 //!
 //! ```text
 //!             SimDriver::run::<E, P, M>
 //!                       │
 //!             E::drive (slot advance)
 //!        ┌──────────────┴──────────────┐
-//!   Lockstep: kernel phases      EventSkip / Jittered:
-//!   wake → deadline →            wake_up, fire_deadline,
-//!   transmit → deliver           compose, resolve, deliver
+//!   Lockstep: kernel phases      Jittered:
+//!   EventSkip: kernel hooks      wake_up, fire_deadline,
+//!   + scatter → deliver          compose, resolve, deliver
 //!        └──────────────┬──────────────┘
 //!                       ▼
 //!   SlotKernel per-node hook: RadioProtocol callback → take_breach
@@ -51,9 +55,8 @@ use super::kernel::SlotKernel;
 use super::{collect_violations, ExecutedEngine, SimConfig, SimOutcome};
 use crate::channel::{BuiltinChannel, Contention};
 use crate::monitor::InvariantMonitor;
-use crate::protocol::{Behavior, RadioProtocol, Slot};
+use crate::protocol::{RadioProtocol, Slot};
 use radio_graph::{Graph, NodeId};
-use rand::rngs::SmallRng;
 
 /// What an [`Engine::drive`] implementation reports back to
 /// [`SimDriver::run`] when the slot-advance loop ends.
@@ -81,8 +84,8 @@ pub trait Engine {
     /// for [`Jittered`](super::jittered::Jittered).
     type Aux<'a>: Copy;
 
-    /// Advances the simulation to completion, calling back into the
-    /// driver for every wake-up, deadline, transmission and delivery.
+    /// Advances the simulation to completion, stepping the driver's
+    /// kernel for every wake-up, deadline, transmission and delivery.
     fn drive<P: RadioProtocol, M: InvariantMonitor<P>>(
         driver: &mut SimDriver<'_, P, M>,
         aux: Self::Aux<'_>,
@@ -166,12 +169,6 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
         self.max_slots
     }
 
-    /// Node `v`'s current behavior segment (`None` before wake-up).
-    #[inline]
-    pub fn behavior(&self, v: NodeId) -> Option<Behavior> {
-        self.kernel.behavior(v)
-    }
-
     /// Node `v`'s current segment deadline, if any.
     #[inline]
     pub fn until(&self, v: NodeId) -> Option<Slot> {
@@ -184,15 +181,8 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
         self.kernel.undecided()
     }
 
-    /// Node `v`'s private RNG stream (for engine-side schedule draws
-    /// such as geometric transmission skips).
-    #[inline]
-    pub fn rng(&mut self, v: NodeId) -> &mut SmallRng {
-        &mut self.kernel.rngs[v as usize]
-    }
-
     /// The whole-graph kernel, the channel model and the monitor, for
-    /// strategies that run the kernel's lock-step phases directly.
+    /// the aligned strategies, which step the kernel directly.
     pub(crate) fn parts(&mut self) -> (&mut SlotKernel<P>, &mut BuiltinChannel, &mut M) {
         (&mut self.kernel, &mut self.channel, &mut *self.monitor)
     }
@@ -229,32 +219,11 @@ impl<'a, P: RadioProtocol, M: InvariantMonitor<P>> SimDriver<'a, P, M> {
     /// Builds node `v`'s message for `slot` and fires the transmit-side
     /// hooks (monitor `on_transmit`, `sent` counter). `None` when the
     /// protocol breached its contract (recorded; the engine must stop).
-    /// The caller owns the returned message's fate — aligned engines
-    /// park it on the air via [`broadcast`](Self::broadcast), the
-    /// jittered engine wraps it in a packet.
+    /// The caller owns the returned message's fate — the jittered
+    /// engine wraps it in a packet.
     #[inline]
     pub fn compose(&mut self, v: NodeId, slot: Slot) -> Option<P::Message> {
         self.kernel.compose(v, slot, self.monitor)
-    }
-
-    /// [`compose`](Self::compose) for aligned-slot engines: the message
-    /// is parked on the air for this slot (read back by
-    /// [`air`](Self::air) during delivery). `false` on a protocol error.
-    #[inline]
-    pub fn broadcast(&mut self, v: NodeId, slot: Slot) -> bool {
-        let Some(msg) = self.compose(v, slot) else {
-            return false;
-        };
-        self.kernel.air[v as usize] = Some(msg);
-        true
-    }
-
-    /// The message node `w` parked on the air this slot (cloned), if
-    /// any. Aligned engines never clear the air between slots — the
-    /// delivery kernel only ever reports current-slot transmitters.
-    #[inline]
-    pub fn air(&self, w: NodeId) -> Option<P::Message> {
-        self.kernel.air[w as usize].clone()
     }
 
     /// Lets the channel model decide a contention. On

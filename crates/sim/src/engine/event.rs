@@ -10,12 +10,14 @@
 //! and per-slot draws distributionally equal, including after behavior
 //! changes, which simply re-draw).
 //!
-//! Since the [`SimDriver`] refactor this
-//! module only contains the slot-advance strategy ([`EventSkip`]); all
-//! protocol/channel/monitor threading lives in [`super::driver`].
+//! This module only contains the slot-advance strategy ([`EventSkip`]):
+//! it decides *which* node wakes, fires a deadline or transmits at each
+//! event slot, and the driver's whole-graph
+//! [`SlotKernel`] does the rest — the
+//! per-node hooks, then the kernel's own scatter and delivery phase.
 
 use super::driver::{Completion, Engine, SimDriver};
-use crate::delivery::DeliveryKernel;
+use super::kernel::SlotKernel;
 use crate::monitor::InvariantMonitor;
 use crate::protocol::{Behavior, RadioProtocol, Slot};
 use crate::rng::geometric_failures;
@@ -44,20 +46,20 @@ pub struct EventSkip;
 /// Pushes the events implied by node `v`'s current behavior, starting
 /// from slot `from` (inclusive for transmissions). Stale entries are
 /// invalidated lazily via the generation counter in `gens`.
-fn schedule<P: RadioProtocol, M: InvariantMonitor<P>>(
+fn schedule<P: RadioProtocol>(
     heap: &mut BinaryHeap<HeapEvent>,
-    d: &mut SimDriver<'_, P, M>,
+    k: &mut SlotKernel<P>,
     gens: &[u32],
     v: NodeId,
     from: Slot,
 ) {
-    let Some(b) = d.behavior(v) else { return };
+    let Some(b) = k.behavior(v) else { return };
     let gen = gens[v as usize];
     if let Some(u) = b.until() {
         heap.push(Reverse((u, EventKind::Deadline, v, gen)));
     }
     if let Behavior::Transmit { p, .. } = b {
-        let next = from.saturating_add(geometric_failures(p, d.rng(v)));
+        let next = from.saturating_add(geometric_failures(p, &mut k.rngs[v as usize]));
         heap.push(Reverse((next, EventKind::Tx, v, gen)));
     }
 }
@@ -69,30 +71,27 @@ impl Engine for EventSkip {
         d: &mut SimDriver<'_, P, M>,
         _aux: (),
     ) -> Completion {
-        let n = d.n();
-        let wake = d.wake();
+        let (graph, max_slots) = (d.graph(), d.max_slots());
         // Generation counter per node: heap entries carrying a stale
         // generation are ignored when popped (lazy invalidation).
-        let mut gens: Vec<u32> = vec![0; n];
-        let mut woken = 0usize;
-
-        let mut heap: BinaryHeap<HeapEvent> = wake
+        let mut gens: Vec<u32> = vec![0; d.n()];
+        let mut heap: BinaryHeap<HeapEvent> = d
+            .wake()
             .iter()
             .enumerate()
             .map(|(v, &w)| Reverse((w, EventKind::Wake, v as NodeId, 0)))
             .collect();
-        let mut kernel = DeliveryKernel::new(n);
-
         let mut slots_run: Slot = 0;
-        let mut all_decided = n == 0;
+        let mut all_decided = d.n() == 0;
+        let (k, channel, monitor) = d.parts();
 
         'run: while let Some(&Reverse((slot, _, _, _))) = heap.peek() {
-            if slot > d.max_slots() {
-                slots_run = d.max_slots();
+            if slot > max_slots {
+                slots_run = max_slots;
                 break;
             }
             slots_run = slot;
-            kernel.begin_slot();
+            k.begin_slot();
 
             // Drain every event scheduled for this slot. The heap orders
             // by (slot, kind), so wake-ups run before deadlines before
@@ -106,77 +105,57 @@ impl Engine for EventSkip {
                 let vi = v as usize;
                 match kind {
                     EventKind::Wake => {
-                        if !d.wake_up(v, slot) {
+                        if !k.wake_node(v, slot, monitor) {
                             break 'run;
                         }
-                        woken += 1;
-                        schedule(&mut heap, d, &gens, v, slot);
+                        schedule(&mut heap, k, &gens, v, slot);
                     }
                     EventKind::Deadline => {
                         if gen != gens[vi] {
                             continue; // stale
                         }
-                        if !d.fire_deadline(v, slot) {
+                        if !k.fire_deadline(v, slot, monitor) {
                             break 'run;
                         }
                         gens[vi] += 1;
-                        schedule(&mut heap, d, &gens, v, slot);
+                        schedule(&mut heap, k, &gens, v, slot);
                     }
                     EventKind::Tx => {
                         if gen != gens[vi] {
                             continue; // stale
                         }
-                        debug_assert!(matches!(d.behavior(v), Some(Behavior::Transmit { .. })));
-                        if !d.broadcast(v, slot) {
+                        debug_assert!(k.tx_p(v).is_some(), "Tx event for a silent node");
+                        if !k.transmit(v, slot, monitor) {
                             break 'run;
                         }
-                        kernel.transmit(d.graph(), v);
                         // Next transmission of the same segment.
-                        if let Some(Behavior::Transmit { p, .. }) = d.behavior(v) {
-                            let next = (slot + 1).saturating_add(geometric_failures(p, d.rng(v)));
+                        if let Some(p) = k.tx_p(v) {
+                            let next =
+                                (slot + 1).saturating_add(geometric_failures(p, &mut k.rngs[vi]));
                             heap.push(Reverse((next, EventKind::Tx, v, gen)));
                         }
                     }
                 }
             }
 
-            // Deliveries (identical semantics to the lock-step engine):
-            // the kernel scattered per-listener counts as transmissions
-            // fired, and the channel model decides each touched
-            // listener's outcome. Channel draws are counter-based (pure
-            // in (listener, slot)), so skipping idle slots cannot
-            // perturb them — no per-slot fallback is needed even for
-            // non-trivial models; see `crate::channel`.
-            for &u in kernel.touched() {
-                if kernel.is_transmitter(u) {
-                    continue; // transmitting: cannot receive
-                }
-                if wake[u as usize] > slot {
-                    continue; // asleep
-                }
-                if let Some(w) = d.resolve(&kernel.contention(u, u, slot)) {
-                    // The kernel only reports transmitters, and every
-                    // transmitter parked its message in the air this
-                    // slot; a missing one would be an engine defect, so
-                    // skip the delivery rather than panic on the hot
-                    // path.
-                    let Some(msg) = d.air(w) else {
-                        debug_assert!(false, "transmitter {w} has no message");
-                        continue;
-                    };
-                    match d.deliver(u, slot, &msg) {
-                        Err(()) => break 'run,
-                        // New segment governs from slot + 1.
-                        Ok(true) => {
-                            gens[u as usize] += 1;
-                            schedule(&mut heap, d, &gens, u, slot + 1);
-                        }
-                        Ok(false) => {}
-                    }
-                }
+            // Deliveries, exactly as the lock-step engine makes them. A
+            // node is awake iff its wake event ran, and channel draws are
+            // counter-based (pure in (listener, slot)), so skipping idle
+            // slots cannot perturb them; see `crate::channel`.
+            k.scatter(|v| graph.neighbors(v), Some, |_, _, _| {});
+            if !k.deliver_phase(slot, channel, Some, monitor) {
+                break;
+            }
+            // A new segment governs from slot + 1. Each receiver's
+            // geometric draw follows its own `on_receive`, on its own
+            // stream.
+            for i in 0..k.renewed().len() {
+                let u = k.renewed()[i];
+                gens[u as usize] += 1;
+                schedule(&mut heap, k, &gens, u, slot + 1);
             }
 
-            if d.undecided() == 0 && woken == n {
+            if k.undecided() == 0 {
                 all_decided = true;
                 break;
             }

@@ -18,10 +18,16 @@
 //! cross-phase neighbors interfere with two of each other's slots
 //! (exactly the paper's "at most two").
 //!
-//! With all phase bits equal the semantics reduce *exactly* to the
-//! aligned lock-step engine (cross-validated in tests); with mixed
-//! phases, experiment E16 measures the constant-factor slowdown the
-//! paper predicts.
+//! With all phase bits equal a node wakes, fires deadlines, draws,
+//! transmits and receives at the same local slots as under the aligned
+//! lock-step engine, so colors, decision slots and transmission counts
+//! agree (`tests/transport_equivalence.rs`). Three counts do not: a
+//! slot's packets land at the start of the next slot, so `slots_run`
+//! can be one higher and the run stops with the last slot's packets
+//! still in flight (a node can count one reception fewer); and a
+//! listener counts one collision per lost packet, not one per slot.
+//! With mixed phases, experiment E16 measures the constant-factor
+//! slowdown the paper predicts.
 //!
 //! Since the [`SimDriver`] refactor this
 //! module only contains the slot-advance strategy ([`Jittered`]) and
@@ -48,8 +54,9 @@ struct Packet<M> {
 /// The half-slot strategy: per-node phase bits (passed as the driver
 /// aux), an in-flight packet queue and the overlap kernel for the
 /// two-slot vulnerability window. Hooks fire at each node's *local*
-/// slot numbers, so with all phase bits `false` runs match the
-/// lock-step engine exactly.
+/// slot numbers, so with all phase bits `false` runs make the lock-step
+/// engine's decisions (see the module docs for the counts that
+/// differ).
 pub struct Jittered;
 
 impl Engine for Jittered {

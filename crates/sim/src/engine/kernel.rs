@@ -6,15 +6,16 @@
 //! A [`SlotKernel`] owns the per-node state of a member set, indexed by
 //! local index. Its per-node hooks (`wake_node`, `fire_deadline`,
 //! `compose`, `receive`) are the only call sites of the
-//! [`RadioProtocol`] callbacks outside the loopback pump; its four
-//! phases take the slot's nondeterminism as input — the transmit draw
-//! as a closure, the reception rule as a [`ChannelModel`] — plus the
-//! monitor.
+//! [`RadioProtocol`] callbacks; its four phases take the slot's
+//! nondeterminism as input — the transmit draw as a closure, the
+//! reception rule as a [`ChannelModel`] — plus the monitor.
 //!
-//! Every lock-step path runs on it: the sequential
+//! Every aligned-slot path runs on it: the sequential
 //! [`SimDriver`](super::driver::SimDriver) holds one kernel over all
-//! nodes (the lock-step engine runs its phases, the event and jittered
-//! engines call its hooks in their own order), each shard of
+//! nodes (the lock-step engine runs its phases; the event engine hands
+//! the slot's wake-ups, deadlines and transmitters to its hooks and then
+//! runs its scatter and delivery phase; the half-slot jittered engine
+//! calls the per-node hooks from its own loop), each shard of
 //! [`run_sharded`](super::sharded::run_sharded) is a kernel plus the
 //! boundary exchange, the model checker's `SlotStepper` is a kernel
 //! driven by choice bitmasks, and each `colord` shard is a kernel whose
@@ -195,6 +196,9 @@ pub struct SlotKernel<P: RadioProtocol> {
     acc: DeliveryKernel,
     /// This slot's transmitters, in draw order.
     txs: Vec<u32>,
+    /// This slot's receivers that installed a new segment, in delivery
+    /// order.
+    renewed: Vec<u32>,
     /// Message a member parked on the air (valid for the current slot
     /// iff it transmitted; never cleared).
     pub(crate) air: Vec<Option<P::Message>>,
@@ -262,6 +266,7 @@ impl<P: RadioProtocol> SlotKernel<P> {
             next_due: Slot::MAX,
             acc: DeliveryKernel::default(),
             txs: Vec::new(),
+            renewed: Vec::new(),
             air: Vec::with_capacity(m),
             pending: Vec::new(),
             faults: Vec::new(),
@@ -421,6 +426,13 @@ impl<P: RadioProtocol> SlotKernel<P> {
         }
     }
 
+    /// The members [`deliver_phase`](Self::deliver_phase) handed a new
+    /// segment this slot, in delivery order.
+    #[inline]
+    pub(crate) fn renewed(&self) -> &[u32] {
+        &self.renewed
+    }
+
     /// Members that have not decided yet. Zero means every member woke
     /// and decided: a member is only ever noted decided after a hook.
     #[inline]
@@ -517,6 +529,34 @@ impl<P: RadioProtocol> SlotKernel<P> {
         monitor.after_receive(self.members[li], slot, msg, &self.protocols[li]);
         self.note_decided(l, slot, monitor);
         Some(nb.is_some())
+    }
+
+    /// Starts the slot's transmissions: a fresh accumulator epoch and an
+    /// empty draw list.
+    #[inline]
+    pub(crate) fn begin_slot(&mut self) {
+        self.acc.begin_slot();
+        self.txs.clear();
+    }
+
+    /// Member `l` transmits at `slot`: composes its message, parks it
+    /// on the air, marks it in the accumulator and appends it to the
+    /// draw list [`scatter`](Self::scatter) walks. `false` on a protocol
+    /// error.
+    #[inline]
+    pub(crate) fn transmit<M: InvariantMonitor<P>>(
+        &mut self,
+        l: u32,
+        slot: Slot,
+        monitor: &mut M,
+    ) -> bool {
+        let Some(msg) = self.compose(l, slot, monitor) else {
+            return false;
+        };
+        self.air[l as usize] = Some(msg);
+        self.acc.mark_transmitter(l);
+        self.txs.push(l);
+        true
     }
 
     /// Lets `channel` decide contention `c` at listener `lu`: the
@@ -663,15 +703,15 @@ impl<P: RadioProtocol> SlotKernel<P> {
         ok
     }
 
-    /// Phase 3: starts the slot's accumulator epoch; every active member
-    /// in a transmit segment asks `draw(l, threshold, rng)` (local
-    /// index, the segment's integer threshold — `(p·2⁶⁴) as u64`, or
-    /// `u64::MAX` for p = 1 — and the member's stream) whether it
-    /// transmits: the simulator passes `bernoulli`, one `next_u64`
+    /// Phase 3: `begin_slot`, then every active
+    /// member in a transmit segment asks `draw(l, threshold, rng)`
+    /// (local index, the segment's integer threshold — `(p·2⁶⁴) as
+    /// u64`, or `u64::MAX` for p = 1 — and the member's stream) whether
+    /// it transmits: the simulator passes `bernoulli`, one `next_u64`
     /// compare with the bits `gen_bool(p)` reads; the model checker
-    /// reads a bitmask. Each transmitter composes its message, parks it
-    /// on the air and is marked in the accumulator;
-    /// [`scatter`](Self::scatter) then reaches the listeners.
+    /// reads a bitmask. Each transmitter goes through
+    /// `transmit`; [`scatter`](Self::scatter) then
+    /// reaches the listeners.
     pub fn transmit_phase<M: InvariantMonitor<P>>(
         &mut self,
         slot: Slot,
@@ -681,24 +721,13 @@ impl<P: RadioProtocol> SlotKernel<P> {
         if self.error.is_some() {
             return false;
         }
-        self.acc.begin_slot();
-        self.txs.clear();
+        self.begin_slot();
         let active = std::mem::take(&mut self.active);
         let ok = active.iter().all(|&l| {
-            let li = l as usize;
             let Some(t) = self.behaviors.tx_threshold(l) else {
                 return true;
             };
-            if !draw(l, t, &mut self.rngs[li]) {
-                return true;
-            }
-            let Some(msg) = self.compose(l, slot, monitor) else {
-                return false;
-            };
-            self.air[li] = Some(msg);
-            self.acc.mark_transmitter(l);
-            self.txs.push(l);
-            true
+            !draw(l, t, &mut self.rngs[l as usize]) || self.transmit(l, slot, monitor)
         });
         self.active = active;
         ok
@@ -751,8 +780,9 @@ impl<P: RadioProtocol> SlotKernel<P> {
     /// Phase 4: `channel` decides every touched member that is awake
     /// and not transmitting (under the ideal channel: receive iff
     /// exactly one neighbor transmitted); each winner's message is
-    /// delivered. `local` is the member map passed to
-    /// [`scatter`](Self::scatter).
+    /// delivered, and receivers that install a new segment are listed
+    /// in `renewed`. `local` is the member map passed
+    /// to [`scatter`](Self::scatter).
     pub fn deliver_phase<C: ChannelModel, M: InvariantMonitor<P>>(
         &mut self,
         slot: Slot,
@@ -763,6 +793,7 @@ impl<P: RadioProtocol> SlotKernel<P> {
         if self.error.is_some() {
             return false;
         }
+        self.renewed.clear();
         for i in 0..self.acc.touched().len() {
             let lu = self.acc.touched()[i];
             let li = lu as usize;
@@ -786,7 +817,10 @@ impl<P: RadioProtocol> SlotKernel<P> {
                 None => return false,
                 // A retired member that picked up a new segment needs
                 // per-slot attention again.
-                Some(true) => self.activate(lu),
+                Some(true) => {
+                    self.activate(lu);
+                    self.renewed.push(lu);
+                }
                 Some(false) => {}
             }
         }

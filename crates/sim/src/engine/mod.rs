@@ -13,14 +13,19 @@
 //!
 //! Experiment E14 and the integration tests cross-validate them. A
 //! third, model-extension engine lives in [`jittered`]: non-aligned
-//! slots with half-slot phase offsets (paper Sect. 2's remark), which
-//! reduces exactly to the lock-step engine when all phases agree.
+//! slots with half-slot phase offsets (paper Sect. 2's remark). When
+//! all phases agree it makes the lock-step engine's decisions — colors,
+//! decision slots, transmissions — but stops with the last slot's
+//! packets in flight and counts collisions per lost packet, so its
+//! `received`, `collisions` and `slots_run` differ.
 //!
-//! The intra-slot rule itself is written once, in [`kernel`]. All three
-//! engines are *slot-advance strategies* ([`driver::Engine`]
-//! implementors) over the generic [`driver::SimDriver`], which holds one
-//! whole-graph kernel plus the channel model and the monitor. See the
-//! [`driver`] module docs for the hook stack.
+//! The intra-slot rule itself is written once, in [`kernel`]: the
+//! lock-step and event engines both deliver through its scatter and
+//! delivery phase. All three engines are *slot-advance strategies*
+//! ([`driver::Engine`] implementors) over the generic
+//! [`driver::SimDriver`], which holds one whole-graph kernel plus the
+//! channel model and the monitor. See the [`driver`] module docs for
+//! the hook stack.
 //!
 //! A fourth execution strategy, the slot-parallel driver in
 //! [`sharded`], partitions the node set spatially and runs one kernel

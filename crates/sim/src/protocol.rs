@@ -1,10 +1,9 @@
-//! The protocol interface — now owned by [`radio_transport::protocol`].
+//! The protocol interface — owned by [`radio_transport::protocol`].
 //!
-//! The `Transport` seam extraction moved [`RadioProtocol`],
-//! [`Behavior`] and the error vocabulary below the simulator, so the
-//! identical FSM code path runs over the simulated radio, the
-//! in-process loopback medium and the TCP transport. This module
-//! re-exports everything under its historical `radio_sim::protocol`
-//! paths; see the transport crate for the intra-slot ordering contract.
+//! [`RadioProtocol`], [`Behavior`] and the error vocabulary live below
+//! the simulator, so the `colord` service shares them without depending
+//! on the engines. This module re-exports everything under its
+//! historical `radio_sim::protocol` paths; see the transport crate for
+//! the intra-slot ordering contract.
 
 pub use radio_transport::protocol::{Behavior, BehaviorFault, ProtocolError, RadioProtocol, Slot};

@@ -11,7 +11,7 @@
 //! [`RadioProtocol`], so it works with every engine unchanged, and the
 //! inner protocol stays oblivious.
 
-use crate::protocol::{Behavior, RadioProtocol, Slot};
+use crate::protocol::{Behavior, BehaviorFault, RadioProtocol, Slot};
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use std::fmt::Write as _;
@@ -239,6 +239,10 @@ impl<P: RadioProtocol> RadioProtocol for Recorded<P> {
 
     fn is_decided(&self) -> bool {
         self.inner.is_decided()
+    }
+
+    fn take_breach(&mut self) -> Option<BehaviorFault> {
+        self.inner.take_breach()
     }
 }
 

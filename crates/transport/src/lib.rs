@@ -1,39 +1,36 @@
-//! The transport seam under the radio protocol FSM.
+//! The vocabulary under the radio protocol FSM, shared by every crate
+//! that runs it.
 //!
 //! The MW-2005 node state machine is written against
 //! [`RadioProtocol`]: a handful of callbacks fired on wake-up,
 //! deadlines, transmissions and receptions, each threaded with the
-//! node's private RNG stream. Historically the only thing that could
-//! fire those callbacks was the simulator's slot-loop engines; this
-//! crate extracts the protocol-driving surface so the *identical* FSM
-//! code path runs over any medium that implements [`Transport`]:
+//! node's private RNG stream. One driver fires them: the slot kernel in
+//! `radio-sim`, which the simulator's engines, the model checker's
+//! stepper and the `colord` service all step. This crate holds what
+//! those users share without depending on the simulator:
 //!
-//! * the simulator (`radio-sim` re-exports this crate's protocol types
-//!   and its engines remain one — highly optimized — driver of it);
-//! * the in-process [`loopback`] medium: one OS thread per node, a
-//!   shared slot clock, exactly the paper's collision rule — and
-//!   bit-identical to the simulator's lock-step engine for the same
-//!   `(graph, wake, seed)` (pinned by `tests/transport_equivalence.rs`
-//!   at the workspace root).
+//! * [`protocol`] — slots, behavior segments, the callback contract and
+//!   its typed faults (`radio-sim` re-exports them);
+//! * [`medium`] — the [`Contention`] a listener observes and the
+//!   [`Reception`] a channel model maps it to;
+//! * [`rng`] — the per-node streams `node_rng(seed, index)` every driver
+//!   draws from;
+//! * [`frame`] — length-prefixed frames and the [`WireMessage`] codec
+//!   of `colord`'s client protocol;
+//! * [`barrier`] — the [`SpinBarrier`] the slot-parallel loops (the
+//!   sharded driver, `colord`'s shard workers) synchronize on.
 //!
 //! Layering: this crate sits *below* `radio-sim` (it depends only on
-//! `radio-graph` and the vendored `rand`), so the simulator, the
-//! algorithm crate and the `colord` service can all share one
-//! definition of slots, behaviors, contention, wire framing and the
-//! [`SpinBarrier`] their slot-parallel loops synchronize on.
+//! `radio-graph` and the vendored `rand`).
 
 pub mod barrier;
 pub mod frame;
-pub mod loopback;
 pub mod medium;
 pub mod protocol;
-pub mod pump;
 pub mod rng;
 
 pub use barrier::SpinBarrier;
 pub use frame::{read_frame, write_frame, FrameError, FramePayload, FrameReader, WireMessage};
-pub use loopback::{run_loopback, LoopbackEndpoint, LoopbackHub, LoopbackOutcome};
 pub use medium::{Contention, Reception};
 pub use protocol::{Behavior, BehaviorFault, ProtocolError, RadioProtocol, Slot};
-pub use pump::{pump_node, NodeReport, PumpError, Transport};
 pub use rng::node_rng;

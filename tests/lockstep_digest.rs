@@ -25,13 +25,20 @@
 //! Each digest folds every run's per-node stats, `slots_run`,
 //! `all_decided`, error, fault log and each node's hash of the messages
 //! it heard through `splitmix64`.
+//!
+//! The same inputs also pin the two engines that step the kernel in
+//! their own order: `EventSkip` (heap events, geometric transmission
+//! skips) and `Jittered` (half-slot phases drawn from the run seed).
+//! Their tables were recorded from the code before `EventSkip` moved
+//! onto the kernel's delivery phase, so that move, and any later change
+//! to either engine's draw or delivery order, shows as a changed digest.
 
 use radio_graph::generators::gnp;
 use radio_graph::{Graph, Partition};
 use radio_sim::rng::splitmix64;
 use radio_sim::{
-    run_sharded, Behavior, BehaviorFault, ChannelSpec, Lockstep, NullMonitor, RadioProtocol,
-    SimConfig, SimDriver, SimOutcome, Slot,
+    run_sharded, Behavior, BehaviorFault, ChannelSpec, EngineKind, EventSkip, Lockstep,
+    NullMonitor, RadioProtocol, SimConfig, SimDriver, SimOutcome, Slot,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -288,19 +295,35 @@ const CHANNELS: [(&str, ChannelSpec); 3] = [
 const SEEDS: [u64; 4] = [1, 2, 3, 4];
 const N: usize = 40;
 
-/// The digest of every seed's run of `scenario` under `channel`, plus
+/// One engine's run of an instance: graph, wake schedule, protocols,
+/// seed and configuration.
+type Run = fn(&Graph, &[Slot], Vec<Drifter>, u64, &SimConfig) -> SimOutcome<Drifter>;
+
+/// The digest of every seed's `run` of `scenario` under `channel`, plus
 /// the reported error of the last seed's run.
-fn lockstep_digest(scenario: Scenario, channel: ChannelSpec) -> (u64, Option<(u32, Slot)>) {
+fn digest(scenario: Scenario, channel: ChannelSpec, run: Run) -> (u64, Option<(u32, Slot)>) {
     let cfg = SimConfig::with_max_slots(2_000).with_channel(channel);
     let mut d = Digest(0);
     let mut last_error = None;
     for seed in SEEDS {
         let (g, wake, protos) = instance(N, seed, scenario);
-        let out = SimDriver::run::<Lockstep>(&g, &wake, protos, (), seed, &cfg, &mut NullMonitor);
+        let out = run(&g, &wake, protos, seed, &cfg);
         d.outcome(&out);
         last_error = out.error.map(|e| (e.node, e.slot));
     }
     (d.0, last_error)
+}
+
+/// [`digest`] of the sequential `Lockstep` engine.
+fn lockstep_digest(scenario: Scenario, channel: ChannelSpec) -> (u64, Option<(u32, Slot)>) {
+    digest(scenario, channel, |g, wake, protos, seed, cfg| {
+        SimDriver::run::<Lockstep>(g, wake, protos, (), seed, cfg, &mut NullMonitor)
+    })
+}
+
+/// `run`'s digests, `[scenario][channel]`.
+fn table(run: Run) -> [[u64; 3]; 4] {
+    SCENARIOS.map(|s| CHANNELS.map(|(_, spec)| digest(s, spec, run).0))
 }
 
 /// Recorded from the full-sweep kernel: `[scenario][channel]`, in the
@@ -379,4 +402,75 @@ fn sharded_shards_match_the_pinned_digests() {
             }
         }
     }
+}
+
+/// Recorded from `EventSkip` with its own delivery loop:
+/// `[scenario][channel]`, in the order of `SCENARIOS` and `CHANNELS`.
+const PINNED_EVENT: [[u64; 3]; 4] = [
+    [
+        0x13bb_ec08_1635_7af5,
+        0xeb53_554e_f70d_a06b,
+        0x644b_78fc_1ee3_bb8d,
+    ],
+    [
+        0x06c6_4af9_6374_97a5,
+        0xdb21_edc5_cc62_081d,
+        0x2ab9_f259_bf7e_1788,
+    ],
+    [
+        0x691e_31ef_3de8_b2ad,
+        0xd1b9_cfe5_f204_2522,
+        0x37ed_19de_0db7_4f3e,
+    ],
+    [
+        0x611f_0ef6_d446_841b,
+        0x5f9d_7e04_1927_c140,
+        0x195c_c5c6_b353_d337,
+    ],
+];
+
+/// Recorded from `Jittered` with seeded mixed phases (the phases
+/// `EngineKind::Jittered` draws from the run seed), in the same order.
+const PINNED_JITTERED: [[u64; 3]; 4] = [
+    [
+        0x3aea_7a0a_79f8_4a74,
+        0xffba_e30b_b294_e979,
+        0xe2c8_77f5_5154_0ca1,
+    ],
+    [
+        0x58cd_c909_6d1e_2d2a,
+        0x4209_15e4_d0b3_4e0e,
+        0xddc6_cb27_d1a3_0b39,
+    ],
+    [
+        0x17a5_bae6_091e_67fb,
+        0xe675_70fd_1804_b264,
+        0x1bcb_824a_6778_f312,
+    ],
+    [
+        0x0189_5b2f_4cbb_9381,
+        0x8526_4a12_56b1_e668,
+        0x0e05_ea50_c739_55ad,
+    ],
+];
+
+#[test]
+fn event_outcomes_match_the_pinned_digests() {
+    let got = table(|g, wake, protos, seed, cfg| {
+        SimDriver::run::<EventSkip>(g, wake, protos, (), seed, cfg, &mut NullMonitor)
+    });
+    assert_eq!(
+        got, PINNED_EVENT,
+        "digests [scenario][channel]: {got:#018x?}"
+    );
+}
+
+#[test]
+fn jittered_outcomes_match_the_pinned_digests() {
+    let got =
+        table(|g, wake, protos, seed, cfg| EngineKind::Jittered.run(g, wake, protos, seed, cfg));
+    assert_eq!(
+        got, PINNED_JITTERED,
+        "digests [scenario][channel]: {got:#018x?}"
+    );
 }

@@ -10,9 +10,10 @@
 //!   event-driven and jittered engines, relying on the engines' final
 //!   `(slot, node, rule, detail)` canonical sort.
 //!
-//! The jittered engine runs with all-false phases, where its hook
-//! schedule coincides with lock-step exactly; monitors see per-node
-//! *local* slots, so the lists stay comparable.
+//! The jittered engine runs with all-false phases, where it fires the
+//! same hooks at the same local slots as lock-step, except that it
+//! stops before delivering the last slot's packets; monitors see
+//! per-node *local* slots, so the lists stay comparable.
 
 use radio_graph::generators::special::{complete, path, star};
 use radio_graph::Graph;

@@ -1,13 +1,12 @@
 //! Cross-engine trace projection: every concrete execution any engine
-//! produces — Lockstep, EventSkip, Jittered, the sharded driver at
-//! several shard counts, and the threaded loopback transport — must
-//! project onto the abstract Fig. 2 machine with **zero illegal
-//! edges**, under every channel model and regardless of which
-//! invariant monitor is attached.
+//! produces — Lockstep, EventSkip, Jittered and the sharded driver at
+//! several shard counts — must project onto the abstract Fig. 2
+//! machine with **zero illegal edges**, under every channel model and
+//! regardless of which invariant monitor is attached.
 //!
 //! The projection runs on both sides of the hook seam at once:
-//! [`radio_mc::Projected`] records edges from inside the protocol
-//! (works even where no monitor seam exists), while
+//! [`radio_mc::Projected`] records edges from inside the protocol,
+//! while
 //! [`radio_mc::ProjectionMonitor`] watches from the engine side. The
 //! wrapper's edges must be a subset of the monitor's (the monitor
 //! additionally observes at decision time), and neither may ever see
@@ -20,7 +19,6 @@ use radio_mc::{Projected, ProjectionMonitor};
 use radio_sim::{
     run_sharded, ChannelSpec, EngineKind, Fanout, InvariantMonitor, SimConfig, SimOutcome,
 };
-use radio_transport::run_loopback;
 use urn_coloring::{AlgorithmParams, ColoringMonitor, ColoringNode, ProtoId};
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -164,27 +162,6 @@ proptest! {
             }
             check_sharded(&g, &wake, seed, channel)?;
         }
-    }
-}
-
-/// Pinned non-property case: the transport loopback (thread per node,
-/// no engine and no monitor seam) projects legally too, via the
-/// protocol-side wrapper alone.
-#[test]
-fn transport_loopback_projects_legally() {
-    let g = Graph::from_edges(4, vec![(0, 1), (1, 2), (2, 3)]);
-    let wake = [0u64, 7, 0, 19];
-    let params = params_for(&g);
-    let net = run_loopback(&g, &wake, wrapped_nodes(&g, params), 0xC015, 20_000_000);
-    assert!(net.all_decided, "loopback run hit the slot limit");
-    assert!(net.errors.is_empty(), "pump faults: {:?}", net.errors);
-    for (v, p) in net.protocols.iter().enumerate() {
-        assert!(
-            p.illegal().is_empty(),
-            "loopback node {v} took illegal edges {:?}",
-            p.illegal()
-        );
-        assert!(p.inner().color().is_some());
     }
 }
 

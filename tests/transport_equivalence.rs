@@ -1,23 +1,33 @@
-//! Transport-seam equivalence: the same `ColoringNode` protocol run
-//! (a) inside the simulator's lock-step engine and (b) over the
-//! threaded loopback transport must be **bit-identical** — same final
-//! colors, same decision slots, same sent/received counts — because
-//! both sides drive the FSM through the one `pump_node` contract with
-//! the per-node RNG stream `node_rng(seed, index)`.
+//! Cross-implementation oracle for the slot kernel: the same
+//! `ColoringNode` protocol run (a) by monitored `Lockstep`, which steps
+//! the kernel's four phases, and (b) by the `Jittered` engine with every
+//! phase bit `false`, whose messages cross a byte codec, must agree on
+//! every node's color, decision slot and transmission count.
 //!
-//! This is the acceptance gate for the transport refactor: if the
-//! medium semantics (exactly-one-transmitter delivery, wake/deadline
-//! ordering, on_receive effective at slot+1) diverge anywhere between
-//! `SimDriver` and `LoopbackHub`, these properties fail. The simulator
-//! side runs with the online `ColoringMonitor` attached, so the traces
-//! are also invariant-clean, not merely equal.
+//! `Jittered` is independent of the kernel's slot loop: it keeps its own
+//! wake queue, per-node draw loop, packet queue and overlap kernel, and
+//! runs no kernel phase, only the per-node hooks. With aligned phases
+//! its packets cover exactly one slot, so a node draws, transmits and
+//! receives at the same local slots as under lock-step. Each node runs
+//! inside [`Wired`], which encodes every message with `to_payload` and
+//! decodes it with `from_payload` before the FSM sees it, so the codec
+//! `ColoringMsg` declares for the wire is exercised on whole runs.
+//!
+//! `received` and `collisions` are not compared. `Jittered` stops with
+//! the last slot's packets still in flight, so a node can count one
+//! reception fewer, and it counts a collision for each packet lost, not
+//! one per slot.
 
 use proptest::prelude::*;
 use radio_graph::analysis::kappa;
 use radio_graph::{Graph, NodeId};
-use radio_sim::{EngineKind, SimConfig};
-use radio_transport::run_loopback;
-use urn_coloring::{color_graph, AlgorithmParams, ColoringConfig, ColoringNode, ProtoId};
+use radio_sim::{
+    Behavior, BehaviorFault, EngineKind, Jittered, NullMonitor, RadioProtocol, SimConfig,
+    SimDriver, Slot,
+};
+use radio_transport::WireMessage;
+use rand::rngs::SmallRng;
+use urn_coloring::{color_graph, AlgorithmParams, ColoringConfig, ColoringMsg, ColoringNode};
 
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (2..max_n).prop_flat_map(|n| {
@@ -31,65 +41,114 @@ fn params_for(g: &Graph) -> AlgorithmParams {
     AlgorithmParams::practical(k.k2.max(2), g.max_closed_degree().max(2), 256)
 }
 
-/// Runs both sides on `(g, wake, seed)` and asserts bit-identity.
+/// A `ColoringNode` whose messages travel as bytes: `message` encodes,
+/// `on_receive` decodes. A frame that fails to decode is reported as a
+/// contract breach; the node's own breaches are forwarded.
+struct Wired {
+    inner: ColoringNode,
+    breach: Option<BehaviorFault>,
+}
+
+impl RadioProtocol for Wired {
+    type Message = Vec<u8>;
+
+    fn on_wake(&mut self, now: Slot, rng: &mut SmallRng) -> Behavior {
+        self.inner.on_wake(now, rng)
+    }
+
+    fn on_deadline(&mut self, now: Slot, rng: &mut SmallRng) -> Behavior {
+        self.inner.on_deadline(now, rng)
+    }
+
+    fn message(&mut self, now: Slot, rng: &mut SmallRng) -> Vec<u8> {
+        self.inner.message(now, rng).to_payload()
+    }
+
+    fn on_receive(&mut self, now: Slot, frame: &Vec<u8>, rng: &mut SmallRng) -> Option<Behavior> {
+        match ColoringMsg::from_payload(frame) {
+            Ok(msg) => self.inner.on_receive(now, &msg, rng),
+            Err(_) => {
+                self.breach = Some(BehaviorFault::ContractBreach {
+                    context: "undecodable frame",
+                });
+                None
+            }
+        }
+    }
+
+    fn is_decided(&self) -> bool {
+        self.inner.is_decided()
+    }
+
+    fn take_breach(&mut self) -> Option<BehaviorFault> {
+        self.breach.take().or_else(|| self.inner.take_breach())
+    }
+}
+
+/// Runs both sides on `(g, wake, seed)` and asserts that they agree.
 fn assert_equivalent(g: &Graph, wake: &[u64], seed: u64) -> Result<(), TestCaseError> {
     let params = params_for(g);
     let max_slots = 30_000_000;
 
-    // Simulator side: lock-step engine, sequential IDs (1..=n — the
-    // same scheme the loopback side reproduces below), monitor on.
+    // Lock-step side: sequential IDs (1..=n, the scheme the wired side
+    // reproduces below), monitor on.
     let mut config = ColoringConfig::new(params).with_monitor();
     config.engine = EngineKind::Lockstep;
     config.sim = SimConfig::with_max_slots(max_slots);
     let sim = color_graph(g, wake, &config, seed);
 
-    // Loopback side: one thread per node over the in-process medium.
-    let protocols: Vec<ColoringNode> = (1..=g.len() as ProtoId)
-        .map(|id| ColoringNode::new(id, params))
+    // Jittered side: aligned phases, every message through the codec.
+    let protocols: Vec<Wired> = (1..=g.len() as u64)
+        .map(|id| Wired {
+            inner: ColoringNode::new(id, params),
+            breach: None,
+        })
         .collect();
-    let net = run_loopback(g, wake, protocols, seed, max_slots);
+    let phases = vec![false; g.len()];
+    let net = SimDriver::run::<Jittered>(
+        g,
+        wake,
+        protocols,
+        &phases,
+        seed,
+        &SimConfig::with_max_slots(max_slots),
+        &mut NullMonitor,
+    );
 
-    prop_assert!(sim.all_decided, "simulator run hit the slot limit");
-    prop_assert!(net.all_decided, "loopback run hit the slot limit");
-    prop_assert!(net.errors.is_empty(), "pump faults: {:?}", net.errors);
+    prop_assert_eq!(&sim.error, &None, "lock-step protocol error");
+    prop_assert_eq!(&net.error, &None, "jittered protocol error");
+    prop_assert!(sim.all_decided, "lock-step run hit the slot limit");
+    prop_assert!(net.all_decided, "jittered run hit the slot limit");
     prop_assert!(
         sim.violations.is_empty(),
-        "monitored sim trace broke an invariant: {:?}",
+        "monitored lock-step trace broke an invariant: {:?}",
         sim.violations
     );
 
     for v in 0..g.len() {
         prop_assert_eq!(
             sim.colors[v],
-            net.protocols[v].color(),
+            net.protocols[v].inner.color(),
             "color diverged at node {}",
             v
         );
-        let (s, r) = (&sim.stats[v], &net.reports[v]);
+        let (s, j) = (&sim.stats[v], &net.stats[v]);
         prop_assert_eq!(
             s.decided_at,
-            r.decided_at,
+            j.decided_at,
             "decided_at diverged at node {}",
             v
         );
-        prop_assert_eq!(s.sent, r.sent, "sent count diverged at node {}", v);
-        prop_assert_eq!(
-            s.received,
-            r.received,
-            "received count diverged at node {}",
-            v
-        );
+        prop_assert_eq!(s.sent, j.sent, "sent count diverged at node {}", v);
     }
     Ok(())
 }
 
 proptest! {
-    // Each case runs a full simulation twice, one of them with a
-    // thread per node: keep the counts modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn loopback_matches_lockstep_simultaneous_wake(
+    fn aligned_jittered_matches_lockstep_simultaneous_wake(
         g in arb_graph(8),
         seed in 0u64..1000,
     ) {
@@ -97,7 +156,7 @@ proptest! {
     }
 
     #[test]
-    fn loopback_matches_lockstep_staggered_wake(
+    fn aligned_jittered_matches_lockstep_staggered_wake(
         g in arb_graph(7),
         wake_raw in prop::collection::vec(0u64..3000, 7),
         seed in 0u64..1000,
@@ -110,7 +169,7 @@ proptest! {
 /// One pinned non-property case so a plain `cargo test` failure here
 /// is immediately reproducible without a proptest seed.
 #[test]
-fn loopback_matches_lockstep_on_a_path() {
+fn aligned_jittered_matches_lockstep_on_a_path() {
     let g = Graph::from_edges(5, vec![(0, 1), (1, 2), (2, 3), (3, 4)]);
     assert_equivalent(&g, &[0, 10, 0, 25, 3], 0xC0102).unwrap();
 }
